@@ -325,6 +325,8 @@ def test_criterion_5_invariants():
 def test_criterion_6_pipeline_thresholds(tmp_path):
     manifest = os.environ.get("LEXGRADE_ACCEPT_MANIFEST")
     texts = os.environ.get("LEXGRADE_ACCEPT_TEXTS")
+    # Byte-exact outputs of the synthetic run; a user corpus has none.
+    pinned = None
     if manifest and texts:
         manifest_path, texts_dir = Path(manifest), Path(texts)
         source = "user corpus"
@@ -332,6 +334,8 @@ def test_criterion_6_pipeline_thresholds(tmp_path):
         manifest_path = build_corpus(tmp_path, n=55)
         texts_dir = tmp_path / "texts"
         source = "synthetic corpus (55 docs)"
+        data = Path(__file__).parent / "data"
+        pinned = (data / "synthetic55_results.csv", data / "synthetic55_stats.json")
 
     results = tmp_path / "results.csv"
     stats_out = tmp_path / "stats.json"
@@ -345,6 +349,9 @@ def test_criterion_6_pipeline_thresholds(tmp_path):
         "stats", "--results", str(results),
         "--out", str(stats_out), "--format", "json",
     ]) == 0
+    if pinned is not None:
+        assert results.read_bytes() == pinned[0].read_bytes()
+        assert stats_out.read_bytes() == pinned[1].read_bytes()
 
     payload = json.loads(stats_out.read_text(encoding="utf-8"))
     assert payload["meta"]["n_documents"] >= 50
