@@ -25,6 +25,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -36,8 +37,8 @@ from .errors import (
     ResultsFormatError,
 )
 from .fetcher import DEFAULT_BASE_URL, FetchSettings, fetch_all
-from .indices import LINSEAR_MODES
-from .stats import QUANTILE_CONVENTION, per_year_aggregate
+from .indices import GRADE_FIELDS, LINSEAR_MODES, GradeVector
+from .stats import QUANTILE_CONVENTION, corpus_statistics, per_year_aggregate
 
 ANALYZE_COLUMNS = (
     "id",
@@ -52,11 +53,7 @@ ANALYZE_COLUMNS = (
     "letter_count",
     "easy_word_count",
     "hard_word_count",
-    "g1_flesch_kincaid",
-    "g2_smog",
-    "g3_ari",
-    "g4_coleman_liau",
-    "g5_linsear",
+    *GRADE_FIELDS,
     "sum_variable",
 )
 
@@ -169,12 +166,7 @@ def _grade_row(row) -> dict:
         "letter_count": m.letter_count,
         "easy_word_count": m.easy_word_count,
         "hard_word_count": m.hard_word_count,
-        "g1_flesch_kincaid": g.g1_flesch_kincaid,
-        "g2_smog": g.g2_smog,
-        "g3_ari": g.g3_ari,
-        "g4_coleman_liau": g.g4_coleman_liau,
-        "g5_linsear": g.g5_linsear,
-        "sum_variable": g.sum_variable,
+        **asdict(g),
     }
 
 
@@ -236,6 +228,10 @@ def _read_results(path: str) -> tuple[dict, list[dict]]:
             raise ResultsFormatError(f"{path}: expected an object with 'rows'")
         meta = payload.get("meta", {})
         raw_rows = payload["rows"]
+        if not isinstance(meta, dict):
+            raise ResultsFormatError(f"{path}: 'meta' must be an object")
+        if not isinstance(raw_rows, list):
+            raise ResultsFormatError(f"{path}: 'rows' must be a list")
         where = [f"{path} row {i}" for i in range(1, len(raw_rows) + 1)]
     else:
         meta = {}
@@ -296,89 +292,6 @@ def _read_results(path: str) -> tuple[dict, list[dict]]:
     return meta, rows
 
 
-def _summary_payload(rows: list[dict]) -> dict:
-    from .stats import INDEX_LABELS, describe
-
-    columns = {
-        "flesch_kincaid": [r["g1_flesch_kincaid"] for r in rows],
-        "smog": [r["g2_smog"] for r in rows],
-        "ari": [r["g3_ari"] for r in rows],
-        "coleman_liau": [r["g4_coleman_liau"] for r in rows],
-        "linsear": [r["g5_linsear"] for r in rows],
-        "sum_variable": [r["sum_variable"] for r in rows],
-    }
-    summary = {}
-    for name, column in columns.items():
-        s = describe(column)
-        summary[name] = {
-            "n": s.n,
-            "mean": s.mean,
-            "standard_deviation": s.standard_deviation,
-            "median": s.median,
-            "q1": s.q1,
-            "q3": s.q3,
-            "min": s.min,
-            "max": s.max,
-        }
-    return summary
-
-
-def _stats_payload(meta_in: dict, rows: list[dict]) -> dict:
-    from .errors import StatisticsError
-    from .indices import GradeVector
-    from .stats import correlation_matrix, cronbach_alpha
-
-    payload: dict = {
-        "meta": {
-            "tool_version": __version__,
-            "linsear_mode": meta_in.get("linsear_mode", "unspecified"),
-            "quantile_convention": QUANTILE_CONVENTION,
-            "n_documents": len(rows),
-        },
-        "summary": _summary_payload(rows),
-        "correlations": None,
-        "correlations_note": None,
-        "alpha": None,
-        "alpha_note": None,
-    }
-
-    if len(rows) < 2:
-        payload["correlations_note"] = "n < 2"
-        payload["alpha_note"] = "n < 2"
-        return payload
-
-    grades = [
-        GradeVector(
-            g1_flesch_kincaid=r["g1_flesch_kincaid"],
-            g2_smog=r["g2_smog"],
-            g3_ari=r["g3_ari"],
-            g4_coleman_liau=r["g4_coleman_liau"],
-            g5_linsear=r["g5_linsear"],
-            sum_variable=r["sum_variable"],
-        )
-        for r in rows
-    ]
-    try:
-        matrix = correlation_matrix(grades)
-        payload["correlations"] = {
-            "labels": list(matrix.labels),
-            "values": [list(row) for row in matrix.values],
-        }
-    except StatisticsError as exc:
-        payload["correlations_note"] = str(exc)
-    try:
-        payload["alpha"] = cronbach_alpha(
-            [
-                [g.g1_flesch_kincaid for g in grades],
-                [g.g2_smog for g in grades],
-                [g.g3_ari for g in grades],
-            ]
-        )
-    except StatisticsError as exc:
-        payload["alpha_note"] = str(exc)
-    return payload
-
-
 def _write_stats(path: str, fmt: str, payload: dict) -> None:
     if fmt == "json":
         Path(path).write_text(
@@ -411,7 +324,16 @@ def _run_stats(args: argparse.Namespace) -> int:
     meta, rows = _read_results(args.results)
     if not rows:
         raise ResultsFormatError(f"{args.results}: no result rows")
-    payload = _stats_payload(meta, rows)
+    grades = [GradeVector(*(r[f] for f in GRADE_FIELDS), r["sum_variable"]) for r in rows]
+    payload = {
+        "meta": {
+            "tool_version": __version__,
+            "linsear_mode": meta.get("linsear_mode", "unspecified"),
+            "quantile_convention": QUANTILE_CONVENTION,
+            "n_documents": len(rows),
+        },
+        **asdict(corpus_statistics(grades)),
+    }
     _write_stats(args.out, args.format, payload)
     print(f"stats over {len(rows)} documents written to {args.out}", file=sys.stderr)
     return 0

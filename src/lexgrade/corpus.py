@@ -14,28 +14,14 @@ import csv
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    CorpusAnalysisError,
-    DegenerateTextError,
-    ManifestError,
-    StatisticsError,
-)
+from .errors import CorpusAnalysisError, DegenerateTextError, ManifestError
 from .indices import GradeVector, grade_metrics
 from .segmenter import TextMetrics, compute_metrics
-from .stats import (
-    CorrelationMatrix,
-    SummaryStats,
-    YearAggregate,
-    correlation_matrix,
-    cronbach_alpha,
-    describe,
-    per_year_aggregate,
-)
 
 __all__ = [
     "DocType",
@@ -106,22 +92,14 @@ class Failure:
 
 @dataclass
 class CorpusReport:
-    """Per-document results plus the corpus-level statistics block.
+    """Per-document results: graded rows and failures, in manifest order.
 
-    correlations and alpha are None when they cannot be computed; the
-    matching *_note fields say why (e.g. "n < 2").
+    Corpus-level statistics over the rows' grades come from
+    stats.corpus_statistics and stats.per_year_aggregate.
     """
 
     rows: list[ReportRow]
     failures: list[Failure]
-    summary: dict[str, SummaryStats]
-    correlations: CorrelationMatrix | None
-    correlations_note: str | None
-    alpha: float | None
-    alpha_note: str | None
-    by_year: list[YearAggregate]
-    linsear_mode: str = "windowed"
-    notes: list[str] = field(default_factory=list)
 
 
 def _parse_record(raw: dict, where: str, seen_ids: set[str]) -> DocumentRecord:
@@ -292,7 +270,7 @@ def analyze_corpus(
     mode: str = "windowed",
     boilerplate: Iterable[str] = DEFAULT_BOILERPLATE_PATTERNS,
 ) -> CorpusReport:
-    """Analyze every manifest record and assemble the corpus report.
+    """Analyze every manifest record into graded rows and failures.
 
     Row order follows the manifest. Documents whose text cannot be
     resolved or graded land in the failures list; the run is fatal only
@@ -315,52 +293,4 @@ def analyze_corpus(
             + "; ".join(f"{f.id}: {f.reason}" for f in failures)
         )
 
-    grade_columns = {
-        "flesch_kincaid": [r.grades.g1_flesch_kincaid for r in rows],
-        "smog": [r.grades.g2_smog for r in rows],
-        "ari": [r.grades.g3_ari for r in rows],
-        "coleman_liau": [r.grades.g4_coleman_liau for r in rows],
-        "linsear": [r.grades.g5_linsear for r in rows],
-    }
-    sums = [r.grades.sum_variable for r in rows]
-    summary = {name: describe(col) for name, col in grade_columns.items()}
-    summary["sum_variable"] = describe(sums)
-
-    correlations = None
-    correlations_note = None
-    alpha = None
-    alpha_note = None
-    if len(rows) < 2:
-        correlations_note = "n < 2"
-        alpha_note = "n < 2"
-    else:
-        try:
-            correlations = correlation_matrix([r.grades for r in rows])
-        except StatisticsError as exc:
-            correlations_note = str(exc)
-        try:
-            alpha = cronbach_alpha(
-                [
-                    grade_columns["flesch_kincaid"],
-                    grade_columns["smog"],
-                    grade_columns["ari"],
-                ]
-            )
-        except StatisticsError as exc:
-            alpha_note = str(exc)
-
-    by_year = per_year_aggregate(
-        [(r.record.year, r.grades.sum_variable) for r in rows]
-    )
-
-    return CorpusReport(
-        rows=rows,
-        failures=failures,
-        summary=summary,
-        correlations=correlations,
-        correlations_note=correlations_note,
-        alpha=alpha,
-        alpha_note=alpha_note,
-        by_year=by_year,
-        linsear_mode=mode,
-    )
+    return CorpusReport(rows=rows, failures=failures)

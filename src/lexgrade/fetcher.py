@@ -3,13 +3,14 @@
 Documents are fetched one CELEX identifier at a time (no crawling), the
 English HTML rendition by default. Every fetched text lands in an
 on-disk cache (<id>.txt plus <id>.meta with the retrieval timestamp and
-source URL); a cache hit never touches the network, so a fully cached
-manifest can be re-analyzed offline and reproducibly.
+source URL); a cache hit needs both files and never touches the network,
+so a fully cached manifest can be re-analyzed offline and reproducibly.
 
 Politeness defaults: one request at a time, 1000 ms between request
 starts, 3 retries with exponential backoff, and an identifying
-user-agent. The base URL can be overridden, which is also how tests
-point the fetcher at a local stub server.
+user-agent; at most MAX_CONCURRENCY requests ever overlap. The base URL
+can be overridden, which is also how tests point the fetcher at a local
+stub server.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from typing import Sequence
 import requests
 
 from .corpus import DocumentRecord
-from .errors import MalformedCelexError
+from .errors import LexgradeError, MalformedCelexError
 
 __all__ = [
     "DEFAULT_BASE_URL",
+    "MAX_CONCURRENCY",
     "FetchSettings",
     "FetchStatus",
     "FetchResult",
@@ -44,6 +46,9 @@ __all__ = [
 ]
 
 DEFAULT_BASE_URL = "https://eur-lex.europa.eu"
+
+#: Upper bound on overlapping requests (and so on fetch threads).
+MAX_CONCURRENCY = 8
 
 _USER_AGENT = "lexgrade/0.1.0 (readability corpus fetcher)"
 
@@ -61,6 +66,12 @@ class FetchSettings:
     retries: int = 3
     timeout_s: float = 30.0
     user_agent: str = _USER_AGENT
+
+    def __post_init__(self) -> None:
+        if self.concurrency > MAX_CONCURRENCY:
+            raise LexgradeError(
+                f"concurrency must be at most {MAX_CONCURRENCY}, got {self.concurrency}"
+            )
 
 
 class FetchStatus(Enum):
@@ -205,16 +216,18 @@ def fetch_document(
 ) -> FetchResult:
     """Fetch one document into the cache, or serve it from there.
 
-    A cache hit returns FromCache with zero network activity. A miss
-    performs one polite retrieval, extracts the text, and writes
-    <id>.txt and <id>.meta atomically. 404 yields NotFound; any other
-    failure after the configured retries yields TransportError.
+    A cache hit (both <id>.txt and <id>.meta present) returns FromCache
+    with zero network activity. A miss performs one polite retrieval,
+    extracts the text, and writes <id>.meta and then <id>.txt, each
+    atomically, so an interrupted write never leaves a hit without its
+    source. 404 yields NotFound; any other failure after the configured
+    retries yields TransportError.
     """
     cache_dir = Path(cache_dir)
     text_path = cache_dir / f"{celex_id}.txt"
     meta_path = cache_dir / f"{celex_id}.meta"
 
-    if text_path.exists():
+    if text_path.exists() and meta_path.exists():
         retrieved_at = None
         try:
             retrieved_at = json.loads(meta_path.read_text(encoding="utf-8")).get(
@@ -256,7 +269,6 @@ def fetch_document(
             continue
 
         retrieved_at = datetime.now(timezone.utc).isoformat()
-        _atomic_write(text_path, extract_text_from_html(response.text))
         _atomic_write(
             meta_path,
             json.dumps(
@@ -270,6 +282,7 @@ def fetch_document(
             )
             + "\n",
         )
+        _atomic_write(text_path, extract_text_from_html(response.text))
         return FetchResult(
             id=celex_id,
             status=FetchStatus.FETCHED_FRESH,

@@ -26,6 +26,7 @@ from .segmenter import (
 )
 
 __all__ = [
+    "GRADE_FIELDS",
     "GradeVector",
     "LINSEAR_MODES",
     "flesch_kincaid",
@@ -40,6 +41,17 @@ __all__ = [
 #: windowed  - average the scaled score of consecutive 100-word windows
 #: compat    - score only the first 100 words (first-sample behaviour)
 LINSEAR_MODES = ("windowed", "compat")
+
+
+#: The five grade fields of GradeVector, in index order; the only place
+#: the index names are spelled out.
+GRADE_FIELDS = (
+    "g1_flesch_kincaid",
+    "g2_smog",
+    "g3_ari",
+    "g4_coleman_liau",
+    "g5_linsear",
+)
 
 
 @dataclass(frozen=True)

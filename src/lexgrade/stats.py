@@ -15,34 +15,28 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import ConstantInputError, DegenerateVarianceError, StatisticsError
-from .indices import GradeVector
+from .indices import GRADE_FIELDS, GradeVector
 
 __all__ = [
     "INDEX_LABELS",
     "QUANTILE_CONVENTION",
+    "CorpusStatistics",
     "CorrelationMatrix",
     "SummaryStats",
     "YearAggregate",
     "pearson",
     "correlation_matrix",
     "cronbach_alpha",
-    "sum_variable",
     "describe",
+    "corpus_statistics",
     "per_year_aggregate",
 ]
 
-#: Fixed column order for grade matrices and reports.
-INDEX_LABELS = ("flesch_kincaid", "smog", "ari", "coleman_liau", "linsear")
+#: Fixed column order for grade matrices and reports: GRADE_FIELDS
+#: without the "gN_" prefix.
+INDEX_LABELS = tuple(field.split("_", 1)[1] for field in GRADE_FIELDS)
 
 QUANTILE_CONVENTION = "linear interpolation between order statistics (type 7)"
-
-_GRADE_FIELDS = (
-    "g1_flesch_kincaid",
-    "g2_smog",
-    "g3_ari",
-    "g4_coleman_liau",
-    "g5_linsear",
-)
 
 
 @dataclass(frozen=True)
@@ -63,6 +57,22 @@ class SummaryStats:
     q3: float
     min: float
     max: float
+
+
+@dataclass(frozen=True)
+class CorpusStatistics:
+    """The corpus-level statistics block over the grades of every document.
+
+    summary has one entry per index label plus "sum_variable".
+    correlations and alpha are None when they cannot be computed; the
+    matching *_note fields say why (e.g. "n < 2").
+    """
+
+    summary: dict[str, SummaryStats]
+    correlations: CorrelationMatrix | None
+    correlations_note: str | None
+    alpha: float | None
+    alpha_note: str | None
 
 
 class YearAggregate(NamedTuple):
@@ -100,7 +110,7 @@ def correlation_matrix(grades: Sequence[GradeVector]) -> CorrelationMatrix:
     """
     if len(grades) < 2:
         raise StatisticsError("need at least 2 documents")
-    columns = [[getattr(g, field) for g in grades] for field in _GRADE_FIELDS]
+    columns = [[getattr(g, field) for g in grades] for field in GRADE_FIELDS]
     for label, column in zip(INDEX_LABELS, columns):
         if min(column) == max(column):
             raise ConstantInputError(
@@ -160,11 +170,6 @@ def cronbach_alpha(columns: Sequence[Sequence[float]]) -> float:
     return float(alpha)
 
 
-def sum_variable(g: GradeVector) -> float:
-    """Mean of the Flesch-Kincaid, SMOG and ARI grades."""
-    return (g.g1_flesch_kincaid + g.g2_smog + g.g3_ari) / 3
-
-
 def _quantile(ordered: Sequence[float], p: float) -> float:
     # Type 7: h = (n - 1) p, linear interpolation between floor/ceil ranks.
     h = (len(ordered) - 1) * p
@@ -196,6 +201,27 @@ def describe(values: Sequence[float]) -> SummaryStats:
         min=float(ordered[0]),
         max=float(ordered[-1]),
     )
+
+
+def corpus_statistics(grades: Sequence[GradeVector]) -> CorpusStatistics:
+    """Summaries, Pearson correlations and FK/SMOG/ARI Cronbach alpha (n >= 1)."""
+    columns = [[getattr(g, field) for g in grades] for field in GRADE_FIELDS]
+    summary = {label: describe(column) for label, column in zip(INDEX_LABELS, columns)}
+    summary["sum_variable"] = describe([g.sum_variable for g in grades])
+    if len(grades) < 2:
+        return CorpusStatistics(summary, None, "n < 2", None, "n < 2")
+
+    correlations = correlations_note = alpha = alpha_note = None
+    try:
+        correlations = correlation_matrix(grades)
+    except StatisticsError as exc:
+        correlations_note = str(exc)
+    try:
+        # Flesch-Kincaid, SMOG and ARI: the indices of the sum variable.
+        alpha = cronbach_alpha(columns[:3])
+    except StatisticsError as exc:
+        alpha_note = str(exc)
+    return CorpusStatistics(summary, correlations, correlations_note, alpha, alpha_note)
 
 
 def per_year_aggregate(

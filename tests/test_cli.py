@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lexgrade.cli import ANALYZE_COLUMNS, main
+from lexgrade.fetcher import MAX_CONCURRENCY
 
 MANIFEST = """id,doc_type,year,title,domain,source
 doc1,Regulation,1995,First,GeneralRules,doc1.txt
@@ -218,6 +219,25 @@ class TestStats:
             "stats", "--results", str(broken), "--out", str(tmp_path / "s.csv"),
         ]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("meta", [], "'meta' must be an object"), ("rows", 5, "'rows' must be a list")],
+    )
+    def test_json_structure_is_format_error(
+        self, corpus, tmp_path, capsys, key, value, message
+    ):
+        results = _run_analyze(corpus, fmt="json")
+        payload = json.loads(results.read_text(encoding="utf-8"))
+        payload[key] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        for command in ("stats", "report"):
+            assert main([
+                command, "--results", str(broken), "--out", str(tmp_path / "s.csv"),
+            ]) == 2
+            err = capsys.readouterr().err
+            assert str(broken) in err and message in err
+
     def test_csv_json_parity(self, corpus):
         results = _run_analyze(corpus)
         csv_out = corpus / "stats.csv"
@@ -321,6 +341,30 @@ class TestFetchCommand:
             "--base-url", stub_repo.base_url,
             "--delay-ms", "0",
         ]) == 1
+
+    def test_concurrency_above_cap_is_config_error(
+        self, corpus, stub_repo, monkeypatch, capsys
+    ):
+        stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
+        manifest = corpus / "fetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n",
+            encoding="utf-8",
+        )
+
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("fetch_all must not start")
+
+        monkeypatch.setattr("lexgrade.cli.fetch_all", no_fetch)
+        assert main([
+            "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
+            "--base-url", stub_repo.base_url, "--delay-ms", "0",
+            "--concurrency", str(MAX_CONCURRENCY + 1),
+        ]) == 2
+        assert "concurrency" in capsys.readouterr().err
+        assert stub_repo.requests == []
+        assert not (corpus / "cache").exists()
 
     def test_env_override_base_url(self, corpus, stub_repo, monkeypatch):
         stub_repo.pages["31995L0046"] = "<p>Doc.</p>"

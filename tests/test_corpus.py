@@ -24,7 +24,7 @@ from lexgrade.errors import (
 )
 from lexgrade.indices import grade_all
 from lexgrade.segmenter import compute_metrics
-from lexgrade.stats import cronbach_alpha
+from lexgrade.stats import corpus_statistics, cronbach_alpha, per_year_aggregate
 
 
 def record(doc_id="32016R0679", doc_type=DocType.REGULATION, year=2016,
@@ -200,24 +200,29 @@ class TestAnalyzeCorpus:
         assert [r.record.id for r in report.rows] == ["doc1", "doc2", "doc3"]
         assert report.failures == []
 
+        statistics = corpus_statistics([r.grades for r in report.rows])
         g1 = [r.grades.g1_flesch_kincaid for r in report.rows]
         g2 = [r.grades.g2_smog for r in report.rows]
         g3 = [r.grades.g3_ari for r in report.rows]
-        assert report.alpha == cronbach_alpha([g1, g2, g3])
+        assert statistics.alpha == cronbach_alpha([g1, g2, g3])
 
         sums = [r.grades.sum_variable for r in report.rows]
-        assert report.summary["sum_variable"].mean == pytest.approx(
+        assert statistics.summary["sum_variable"].mean == pytest.approx(
             math.fsum(sums) / 3
         )
-        assert [row.year for row in report.by_year] == [1995, 2016]
-        assert report.by_year[0].count == 2
+        by_year = per_year_aggregate(
+            [(r.record.year, r.grades.sum_variable) for r in report.rows]
+        )
+        assert [row.year for row in by_year] == [1995, 2016]
+        assert by_year[0].count == 2
 
     def test_single_doc_notes_small_n(self, tmp_path):
         records, texts = _three_doc_corpus(tmp_path)
         report = analyze_corpus(records[:1], directory_resolver(texts))
-        assert report.correlations is None
-        assert report.correlations_note == "n < 2"
-        assert report.alpha is None
+        statistics = corpus_statistics([r.grades for r in report.rows])
+        assert statistics.correlations is None
+        assert statistics.correlations_note == "n < 2"
+        assert statistics.alpha is None
 
     def test_missing_text_is_reported_not_raised(self, tmp_path):
         records, texts = _three_doc_corpus(tmp_path)

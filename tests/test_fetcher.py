@@ -5,8 +5,9 @@ import json
 import pytest
 
 from lexgrade.corpus import DocType, Domain, DocumentRecord
-from lexgrade.errors import MalformedCelexError
+from lexgrade.errors import LexgradeError, MalformedCelexError
 from lexgrade.fetcher import (
+    MAX_CONCURRENCY,
     FetchSettings,
     FetchStatus,
     celex_url,
@@ -111,6 +112,19 @@ class TestFetchDocument:
         assert "503" in result.detail
         assert len(stub_repo.requests) == 3
 
+    def test_text_without_meta_is_refetched(self, stub_repo, tmp_path):
+        stub_repo.pages["32016R0679"] = GDPR_HTML
+        (tmp_path / "32016R0679.txt").write_text("stale text", encoding="utf-8")
+
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert result.status is FetchStatus.FETCHED_FRESH
+        assert len(stub_repo.requests) == 1
+        assert result.text_path.read_text(encoding="utf-8") == extract_text_from_html(
+            GDPR_HTML
+        )
+        meta = json.loads((tmp_path / "32016R0679.meta").read_text())
+        assert meta["source_url"].endswith("CELEX:32016R0679")
+
     def test_text_path_present_iff_success(self, stub_repo, tmp_path):
         stub_repo.pages["32016R0679"] = GDPR_HTML
         cfg = settings(stub_repo)
@@ -177,3 +191,8 @@ class TestFetchAll:
         records = [record(f"3202{i}R000{i}") for i in range(4)]
         fetch_all(records, tmp_path, settings(stub_repo, concurrency=1))
         assert stub_repo.max_active == 1
+
+    def test_concurrency_above_cap_rejected(self):
+        assert FetchSettings(concurrency=MAX_CONCURRENCY).concurrency == MAX_CONCURRENCY
+        with pytest.raises(LexgradeError, match="at most"):
+            FetchSettings(concurrency=MAX_CONCURRENCY + 1)

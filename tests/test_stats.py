@@ -20,7 +20,6 @@ from lexgrade.stats import (
     describe,
     pearson,
     per_year_aggregate,
-    sum_variable,
 )
 
 
@@ -127,16 +126,6 @@ class TestCronbachAlpha:
         except DegenerateVarianceError:
             assume(False)
         assert alpha <= 1.0
-
-
-class TestSumVariable:
-    def test_examples(self):
-        assert sum_variable(gv(10, 9, 13)) == pytest.approx(32 / 3)
-        assert sum_variable(gv(0, 0, 0)) == 0
-        assert sum_variable(gv(-2, 4, -5)) == -1
-
-    def test_ignores_last_two_grades(self):
-        assert sum_variable(gv(1, 2, 3, 100, -100)) == sum_variable(gv(1, 2, 3))
 
 
 class TestDescribe:
