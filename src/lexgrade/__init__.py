@@ -11,7 +11,7 @@ from .errors import (
     ResultsFormatError,
     StatisticsError,
 )
-from .segmenter import TextMetrics, compute_metrics, count_syllables
+from .segmenter import TextMetrics, compute_metrics, count_syllables, scan
 from .indices import GradeVector, grade_all, linsear_write
 from .corpus import (
     CorpusReport,
@@ -35,6 +35,7 @@ __all__ = [
     "TextMetrics",
     "compute_metrics",
     "count_syllables",
+    "scan",
     "GradeVector",
     "grade_all",
     "linsear_write",

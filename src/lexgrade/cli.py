@@ -164,8 +164,8 @@ def _grade_row(row) -> dict:
         "polysyllable_count": m.polysyllable_count,
         "character_count": m.character_count,
         "letter_count": m.letter_count,
-        "easy_word_count": m.easy_word_count,
-        "hard_word_count": m.hard_word_count,
+        "easy_word_count": m.word_count - m.polysyllable_count,
+        "hard_word_count": m.polysyllable_count,
         **asdict(g),
     }
 
@@ -289,6 +289,8 @@ def _read_results(path: str) -> tuple[dict, list[dict]]:
                     f"{location}: column '{column}' has non-numeric value {value!r}"
                 ) from None
         rows.append(typed)
+    if not rows:
+        raise ResultsFormatError(f"{path}: no result rows")
     return meta, rows
 
 
@@ -322,8 +324,6 @@ def _write_stats(path: str, fmt: str, payload: dict) -> None:
 
 def _run_stats(args: argparse.Namespace) -> int:
     meta, rows = _read_results(args.results)
-    if not rows:
-        raise ResultsFormatError(f"{args.results}: no result rows")
     grades = [GradeVector(*(r[f] for f in GRADE_FIELDS), r["sum_variable"]) for r in rows]
     payload = {
         "meta": {

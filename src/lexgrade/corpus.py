@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CorpusAnalysisError, DegenerateTextError, ManifestError
 from .indices import GradeVector, grade_metrics
-from .segmenter import TextMetrics, compute_metrics
+from .segmenter import TextMetrics
 
 __all__ = [
     "DocType",
@@ -245,13 +245,10 @@ def analyze_document(
     Raises DegenerateTextError naming the document when the cleaned text
     has no measurable prose.
     """
-    cleaned = clean_text(text, boilerplate)
-    metrics = compute_metrics(cleaned)
     try:
-        grades = grade_metrics(metrics, cleaned, mode)
+        return grade_metrics(clean_text(text, boilerplate), mode)
     except DegenerateTextError as exc:
         raise DegenerateTextError(f"document '{record.id}': {exc}") from exc
-    return metrics, grades
 
 
 def directory_resolver(texts_dir: str | Path) -> Callable[[DocumentRecord], str]:

@@ -228,13 +228,11 @@ def fetch_document(
     meta_path = cache_dir / f"{celex_id}.meta"
 
     if text_path.exists() and meta_path.exists():
-        retrieved_at = None
         try:
-            retrieved_at = json.loads(meta_path.read_text(encoding="utf-8")).get(
-                "retrieved_at"
-            )
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
-            pass
+            meta = None
+        retrieved_at = meta.get("retrieved_at") if isinstance(meta, dict) else None
         return FetchResult(
             id=celex_id,
             status=FetchStatus.FROM_CACHE,

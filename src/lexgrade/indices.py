@@ -1,13 +1,14 @@
 """The five readability grades and their common truncation rule.
 
 Four indices are plain ratio formulas over TextMetrics; Linsear Write
-scores 100-word samples instead. Every raw value is truncated UP to the
-nearest integer (negative grades are possible and preserved). Raw values
-are evaluated exactly, as fractions of the decimal constants, so the
-grade is the true ceiling for any document size: a raw value that is an
-integer gains no spurious +1 from binary rounding, and one a hair above
-an integer still rounds up. SMOG's ceiling is decided on squares, so no
-square root enters the comparison.
+scores 100-word samples of the per-word table that segmenter.scan builds
+in the same pass. Every raw value is truncated UP to the nearest integer
+(negative grades are possible and preserved). Raw values are evaluated
+exactly, as fractions of the decimal constants, so the grade is the
+true ceiling for any document size: a raw value that is an integer gains
+no spurious +1 from binary rounding, and one a hair above an integer
+still rounds up. SMOG's ceiling is decided on squares, so no square root
+enters the comparison.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateTextError
-from .segmenter import (
-    TextMetrics,
-    compute_metrics,
-    count_syllables,
-    segment_sentences,
-    tokenize_words,
-)
+from .segmenter import TextMetrics, scan
 
 __all__ = [
     "GRADE_FIELDS",
@@ -134,28 +129,23 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown linsear mode {mode!r}; expected one of {LINSEAR_MODES}")
 
 
-def _sample_score(window: list[str]) -> Fraction:
-    """Scaled Linsear score of one word-token window."""
-    easy = 0
-    hard = 0
-    for token in window:
-        if count_syllables(token) >= 3:
-            hard += 1
-        else:
-            easy += 1
-    # A window with no detected terminator still counts as one sentence
-    # (heading-only windows must not divide by zero).
-    sentences = max(1, len(segment_sentences(" ".join(window))))
+def _sample_score(window: list[tuple[int, bool]]) -> Fraction:
+    """Scaled Linsear score of one window of (syllables, ends_sentence) words."""
+    hard = sum(syllables >= 3 for syllables, _ in window)
+    easy = len(window) - hard
+    # The window's sentences end at its own words; an unterminated tail
+    # (or a heading-only window) counts as one more.
+    sentences = sum(ends for _, ends in window) + (not window[-1][1])
     score = Fraction(easy * 1 + hard * 3, sentences)
     if score > 20:
         return score / 2
     return (score - 2) / 2
 
 
-def _windows(tokens: list[str]) -> list[list[str]]:
-    if len(tokens) <= 100:
-        return [tokens]
-    chunks = [tokens[i : i + 100] for i in range(0, len(tokens), 100)]
+def _windows(words: list) -> list[list]:
+    if len(words) <= 100:
+        return [words]
+    chunks = [words[i : i + 100] for i in range(0, len(words), 100)]
     # A short trailing window (< 50 words) merges into the previous one.
     if len(chunks) > 1 and len(chunks[-1]) < 50:
         tail = chunks.pop()
@@ -163,39 +153,38 @@ def _windows(tokens: list[str]) -> list[list[str]]:
     return chunks
 
 
-def linsear_write(text: str, mode: str = "windowed") -> int:
-    """Linsear Write grade of a text.
+def linsear_write(words: list[tuple[int, bool]], mode: str = "windowed") -> int:
+    """Linsear Write grade of a text's scanned words (segmenter.scan).
 
     Each 100-word sample scores one point per easy word (two syllables
     or less) and three per hard word (three or more), divided by the
     sentences in the sample; the quotient r is rescaled to r/2 when
-    r > 20 and (r - 2)/2 otherwise. Windowed mode averages the scaled
-    scores over consecutive non-overlapping 100-word windows; compat
-    mode scores only the first 100 words. The result is truncated up.
+    r > 20 and (r - 2)/2 otherwise. A sample's sentences are those ended
+    by its own words: a terminator that stands alone as a token ends a
+    sentence in TextMetrics but not in any sample. Windowed mode
+    averages the scaled scores over consecutive non-overlapping 100-word
+    windows; compat mode scores only the first 100 words. The result is
+    truncated up.
     """
     _check_mode(mode)
-    tokens = tokenize_words(text)
-    if not tokens:
+    if not words:
         raise DegenerateTextError("text has no measurable prose: no word tokens")
     if mode == "compat":
-        return math.ceil(_sample_score(tokens[:100]))
-    scores = [_sample_score(window) for window in _windows(tokens)]
+        return math.ceil(_sample_score(words[:100]))
+    scores = [_sample_score(window) for window in _windows(words)]
     return math.ceil(sum(scores) / len(scores))
 
 
-def grade_metrics(m: TextMetrics, text: str, mode: str = "windowed") -> GradeVector:
-    """Grade a text whose metrics are already computed.
-
-    Used by batch analysis to avoid counting the same document twice;
-    `text` must be the text `m` was computed from.
-    """
+def grade_metrics(text: str, mode: str = "windowed") -> tuple[TextMetrics, GradeVector]:
+    """Count one text in a single scan and compute all five grades."""
     _check_mode(mode)
+    m, words = scan(text)
     g1 = flesch_kincaid(m)
     g2 = smog(m)
     g3 = ari(m)
     g4 = coleman_liau(m)
-    g5 = linsear_write(text, mode)
-    return GradeVector(
+    g5 = linsear_write(words, mode)
+    return m, GradeVector(
         g1_flesch_kincaid=g1,
         g2_smog=g2,
         g3_ari=g3,
@@ -207,4 +196,4 @@ def grade_metrics(m: TextMetrics, text: str, mode: str = "windowed") -> GradeVec
 
 def grade_all(text: str, mode: str = "windowed") -> GradeVector:
     """Compute all five grades and the sum variable for one text."""
-    return grade_metrics(compute_metrics(text), text, mode)
+    return grade_metrics(text, mode)[1]

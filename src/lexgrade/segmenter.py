@@ -5,10 +5,13 @@ counts, syllable estimates, and per-token character/letter counts. All
 functions are pure and rule-based; no language models, no randomness, so
 the same text always yields the same numbers.
 
-Legal texts are dense with "Art. 5" style citations, so the sentence
-splitter carries a small abbreviation list that suppresses boundaries
-after those tokens. Decimal numbers ("1.5") never split because a
-boundary requires whitespace (or end of text) after the terminator.
+One rule, _ends_sentence, decides from a whitespace-delimited token alone
+whether a sentence ends after it. Legal texts are dense with "Art. 5"
+style citations, so it skips a small abbreviation list; "1.5" never
+splits, as a terminator must end its token. scan reads a text once into
+the counts and, per word, (syllables, ends_sentence). A terminator that
+stands alone as a token ("comply . The") ends a document sentence but is
+not a word, so a Linsear window counts only terminators on its own words.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "tokenize_words",
     "count_syllables",
     "compute_metrics",
+    "scan",
 ]
 
 # Tokens that end with '.' without ending a sentence (compared lowercase).
@@ -30,9 +34,10 @@ ABBREVIATIONS = frozenset(
     {"art.", "no.", "e.g.", "i.e.", "cf.", "p.", "mr.", "mrs.", "dr."}
 )
 
-# Terminator, optionally followed by closing quotes/brackets, then
-# whitespace or end of text.
-_BOUNDARY = re.compile(r"[.!?][\"'’”)\]»]*(?=\s|$)")
+_TOKEN = re.compile(r"\S+")
+
+# Closing quotes/brackets that may follow a sentence terminator.
+_CLOSERS = "\"'’”)]»"
 
 _VOWELS = frozenset("aeiouy")
 
@@ -55,8 +60,6 @@ class TextMetrics:
     polysyllable_count: int
     character_count: int
     letter_count: int
-    easy_word_count: int
-    hard_word_count: int
 
 
 def _normalize(text: str) -> str:
@@ -67,57 +70,45 @@ def _has_word(fragment: str) -> bool:
     return any(ch.isalnum() for ch in fragment)
 
 
+def _ends_sentence(token: str) -> bool:
+    """Whether a sentence ends after this whitespace-delimited token.
+
+    It does when the token ends in '.', '!' or '?' plus any closing
+    quotes/brackets, unless the terminator is the '.' of a known
+    abbreviation (compared without opening punctuation).
+    """
+    body = token.rstrip(_CLOSERS)
+    if not body or body[-1] not in ".!?":
+        return False
+    return body[-1] != "." or body.lstrip(_OPENERS).lower() not in ABBREVIATIONS
+
+
 def segment_sentences(text: str) -> list[str]:
     """Split text into sentences.
 
-    Boundaries are '.', '!' or '?' (plus any closing quotes/brackets)
-    followed by whitespace or end of text, except after a known
-    abbreviation. Fragments without a single word token are merged into
-    the neighbouring sentence, so every returned sentence contains at
-    least one word. Text without a terminator is one sentence.
+    A sentence ends after each token for which _ends_sentence holds, and
+    at the end of text. Fragments without a single word token are merged
+    into the neighbouring sentence, so every returned sentence contains
+    at least one word. Text without a terminator is one sentence.
     """
     text = _normalize(text)
-    if not _has_word(text):
-        return []
-
-    cuts = []
-    for match in _BOUNDARY.finditer(text):
-        if text[match.start()] == "." and _is_abbreviation(text, match.start()):
+    tokens = list(_TOKEN.finditer(text))
+    spans: list[list[int]] = []
+    start, has_word = None, False
+    for i, token in enumerate(tokens):
+        if start is None:
+            start = token.start()
+        has_word = has_word or _has_word(token.group())
+        if not (_ends_sentence(token.group()) or i == len(tokens) - 1):
             continue
-        cuts.append(match.end())
-
-    spans = []
-    prev = 0
-    for cut in cuts:
-        spans.append((prev, cut))
-        prev = cut
-    if text[prev:].strip():
-        spans.append((prev, len(text)))
-
-    # Merge word-less fragments so no sentence is pure punctuation.
-    merged: list[list[int]] = []
-    carry_start: int | None = None
-    for start, end in spans:
-        if not _has_word(text[start:end]):
-            if merged:
-                merged[-1][1] = end
-            elif carry_start is None:
-                carry_start = start
-            continue
-        if carry_start is not None:
-            start = carry_start
-            carry_start = None
-        merged.append([start, end])
-
-    return [text[s:e].strip() for s, e in merged]
-
-
-def _is_abbreviation(text: str, dot_index: int) -> bool:
-    start = dot_index
-    while start > 0 and not text[start - 1].isspace():
-        start -= 1
-    token = text[start : dot_index + 1].lstrip(_OPENERS)
-    return token.lower() in ABBREVIATIONS
+        if has_word:
+            spans.append([start, token.end()])
+        elif spans:
+            spans[-1][1] = token.end()
+        else:
+            continue  # a leading word-less fragment opens the first sentence
+        start, has_word = None, False
+    return [text[s:e] for s, e in spans]
 
 
 def tokenize_words(text: str) -> list[str]:
@@ -165,35 +156,45 @@ def count_syllables(word: str) -> int:
     return max(1, total)
 
 
+def scan(text: str) -> tuple[TextMetrics, list[tuple[int, bool]]]:
+    """Count one text in a single pass over its tokens.
+
+    Returns the TextMetrics and, for each word token in order, its
+    syllable count and whether a sentence ends after it. Sentences are
+    counted as segment_sentences splits them; a punctuation-only token
+    can end a sentence but is not a word, so it has no entry.
+    """
+    words: list[tuple[int, bool]] = []
+    sentences = polysyllables = characters = letters = 0
+    open_sentence = False
+    for token in _normalize(text).split():
+        ends = _ends_sentence(token)
+        alnum = sum(ch.isalnum() for ch in token)
+        if alnum:
+            n = count_syllables(token)
+            words.append((n, ends))
+            polysyllables += n >= 3
+            characters += alnum
+            letters += sum(ch.isalpha() for ch in token)
+            open_sentence = True
+        if ends and open_sentence:
+            sentences += 1
+            open_sentence = False
+
+    return TextMetrics(
+        sentence_count=sentences + open_sentence,
+        word_count=len(words),
+        syllable_count=sum(n for n, _ in words),
+        polysyllable_count=polysyllables,
+        character_count=characters,
+        letter_count=letters,
+    ), words
+
+
 def compute_metrics(text: str) -> TextMetrics:
     """Count sentences, words, syllables and characters for one text.
 
     Degenerate text (no word tokens) yields all-zero metrics; rejecting
     it is the grade layer's job.
     """
-    text = _normalize(text)
-    sentences = segment_sentences(text)
-    words = tokenize_words(text)
-
-    syllables = 0
-    polysyllables = 0
-    characters = 0
-    letters = 0
-    for token in words:
-        n = count_syllables(token)
-        syllables += n
-        if n >= 3:
-            polysyllables += 1
-        characters += sum(ch.isalnum() for ch in token)
-        letters += sum(ch.isalpha() for ch in token)
-
-    return TextMetrics(
-        sentence_count=len(sentences),
-        word_count=len(words),
-        syllable_count=syllables,
-        polysyllable_count=polysyllables,
-        character_count=characters,
-        letter_count=letters,
-        easy_word_count=len(words) - polysyllables,
-        hard_word_count=polysyllables,
-    )
+    return scan(text)[0]

@@ -288,6 +288,19 @@ class TestReport:
         assert code == 2
         assert "year" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stats", "report"])
+    def test_empty_results_is_format_error(self, corpus, tmp_path, capsys, command):
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text(",".join(ANALYZE_COLUMNS) + "\n", encoding="utf-8")
+        no_rows = tmp_path / "empty.json"
+        no_rows.write_text('{"meta": {}, "rows": []}', encoding="utf-8")
+        for results in (header_only, no_rows):
+            assert main([
+                command, "--results", str(results), "--out", str(tmp_path / "o.csv"),
+            ]) == 2
+            assert f"{results}: no result rows" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_json_report(self, corpus):
         results = _run_analyze(corpus, fmt="json")
         out = corpus / "years.json"

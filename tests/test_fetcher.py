@@ -125,6 +125,16 @@ class TestFetchDocument:
         meta = json.loads((tmp_path / "32016R0679.meta").read_text())
         assert meta["source_url"].endswith("CELEX:32016R0679")
 
+    @pytest.mark.parametrize("meta", ["[]", "null", '"2016-04-27"'])
+    def test_meta_not_an_object_is_cache_hit(self, stub_repo, tmp_path, meta):
+        (tmp_path / "32016R0679.txt").write_text("cached text", encoding="utf-8")
+        (tmp_path / "32016R0679.meta").write_text(meta, encoding="utf-8")
+
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert result.status is FetchStatus.FROM_CACHE
+        assert result.retrieved_at is None
+        assert stub_repo.requests == []
+
     def test_text_path_present_iff_success(self, stub_repo, tmp_path):
         stub_repo.pages["32016R0679"] = GDPR_HTML
         cfg = settings(stub_repo)

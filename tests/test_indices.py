@@ -18,7 +18,7 @@ from lexgrade.indices import (
     linsear_write,
     smog,
 )
-from lexgrade.segmenter import TextMetrics
+from lexgrade.segmenter import TextMetrics, scan
 
 
 def metrics(
@@ -36,8 +36,6 @@ def metrics(
         polysyllable_count=polysyllables,
         character_count=characters,
         letter_count=letters,
-        easy_word_count=words - polysyllables,
-        hard_word_count=polysyllables,
     )
 
 
@@ -102,41 +100,55 @@ class TestLinsearWrite:
     def test_easy_sample(self):
         # 100 words, 80 easy / 20 hard, 10 sentences -> r=14 -> (14-2)/2=6
         text = one_sample_text(easy=80, hard=20, sentences=10)
-        assert linsear_write(text, "windowed") == 6
-        assert linsear_write(text, "compat") == 6
+        assert linsear_write(scan(text)[1], "windowed") == 6
+        assert linsear_write(scan(text)[1], "compat") == 6
 
     def test_hard_sample(self):
         # 100 words, 50/50 over 5 sentences -> r=40 -> 40/2=20
         text = one_sample_text(easy=50, hard=50, sentences=5)
-        assert linsear_write(text, "windowed") == 20
+        assert linsear_write(scan(text)[1], "windowed") == 20
 
     def test_modes_diverge_on_fixture(self, data_dir):
         golden = json.loads((data_dir / "fixture_golden.json").read_text())
         text = (data_dir / "linsear_divergence.txt").read_text()
-        assert linsear_write(text, "windowed") == golden["linsear_divergence"]["windowed"]
-        assert linsear_write(text, "compat") == golden["linsear_divergence"]["compat"]
+        assert linsear_write(scan(text)[1], "windowed") == golden["linsear_divergence"]["windowed"]
+        assert linsear_write(scan(text)[1], "compat") == golden["linsear_divergence"]["compat"]
 
     def test_short_tail_merges_into_previous_window(self):
         # 149 words: the 49-word tail merges, so both modes see the text
         # differently (compat: first 100 only).
         text = one_sample_text(easy=80, hard=20, sentences=10)
         tail = " " + " ".join(["remember"] * 48) + " sun."
-        merged = linsear_write(text + tail, "windowed")
+        merged = linsear_write(scan(text + tail)[1], "windowed")
         # one window of 149 words: easy=81, hard=68, 11 sentences
         r = (81 + 3 * 68) / 11
         expected = math.ceil(r / 2 if r > 20 else (r - 2) / 2)
         assert merged == expected
 
+    def test_detached_terminators_end_no_window_sentence(self):
+        # A terminator standing alone as a token ends a document sentence
+        # but is not a word, so the sample sees one unterminated sentence.
+        detached = "Member States shall comply . The Commission shall report ."
+        m, words = scan(detached)
+        assert m.sentence_count == 2
+        assert linsear_write(words, "windowed") == 4
+        assert linsear_write(words, "compat") == 4
+        attached = "Member States shall comply. The Commission shall report."
+        m, words = scan(attached)
+        assert m.sentence_count == 2
+        assert linsear_write(words, "windowed") == 2
+        assert linsear_write(words, "compat") == 2
+
     def test_no_terminator_counts_one_sentence(self):
-        assert linsear_write("sun sun sun sun", "windowed") == 1
+        assert linsear_write(scan("sun sun sun sun")[1], "windowed") == 1
 
     def test_empty_text_raises(self):
         with pytest.raises(DegenerateTextError):
-            linsear_write("", "windowed")
+            linsear_write(scan("")[1], "windowed")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            linsear_write("sun.", "both")
+            linsear_write(scan("sun.")[1], "both")
 
 
 class TestGradeAll:
@@ -238,7 +250,7 @@ class TestCeilingContract:
         text = one_sample_text(easy, hard, sentences)
         r = Fraction(easy + 3 * hard, sentences)
         raw = r / 2 if r > 20 else (r - 2) / 2
-        assert_ceiling_contract(linsear_write(text, "windowed"), raw)
+        assert_ceiling_contract(linsear_write(scan(text)[1], "windowed"), raw)
 
 
 class TestFormulaProperties:

@@ -129,8 +129,6 @@ class TestComputeMetrics:
             polysyllable_count=0,
             character_count=9,
             letter_count=9,
-            easy_word_count=3,
-            hard_word_count=0,
         )
 
     def test_empty_is_all_zero(self):
@@ -141,7 +139,11 @@ class TestComputeMetrics:
         golden = json.loads((data_dir / "fixture_golden.json").read_text())
         text = (data_dir / "fixture_paragraph.txt").read_text()
         m = compute_metrics(text)
-        assert vars(m) == golden["metrics"]
+        expected = golden["metrics"]
+        assert vars(m) == {field: expected[field] for field in vars(m)}
+        # the results columns derived from the metrics
+        assert expected["easy_word_count"] == m.word_count - m.polysyllable_count
+        assert expected["hard_word_count"] == m.polysyllable_count
 
     def test_unicode_letters_counted(self):
         m = compute_metrics("Café owners agreed.")
@@ -167,7 +169,6 @@ class TestComputeMetrics:
     @settings(max_examples=30)
     def test_invariants(self, text):
         m = compute_metrics(text)
-        assert m.polysyllable_count == m.hard_word_count <= m.word_count
-        assert m.easy_word_count + m.hard_word_count == m.word_count
+        assert m.polysyllable_count <= m.word_count
         assert m.syllable_count >= m.word_count
         assert m.letter_count <= m.character_count
