@@ -57,10 +57,20 @@ ANALYZE_COLUMNS = (
     "sum_variable",
 )
 
-_INT_COLUMNS = frozenset(
-    c
-    for c in ANALYZE_COLUMNS
-    if c not in ("id", "doc_type", "domain", "sum_variable")
+
+def _integers(cells) -> list[int]:
+    # int() would read a JSON true as 1 and 7.5 as 7: only ints and text pass.
+    if not set(map(type, cells)) <= {int, str}:
+        raise ValueError("not an integer")
+    return list(map(int, cells))
+
+
+#: Per ANALYZE_COLUMNS entry, what turns that column's cells into typed values.
+_CONVERTERS = tuple(
+    list if column in ("id", "doc_type", "domain")
+    else (lambda cells: list(map(float, cells))) if column == "sum_variable"
+    else _integers
+    for column in ANALYZE_COLUMNS
 )
 
 
@@ -214,8 +224,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
     return 1 if report.failures else 0
 
 
-def _read_results(path: str) -> tuple[dict, list[dict]]:
-    """Read an analyze results file (CSV or JSON) back into typed rows."""
+def _read_results(path: str) -> tuple[dict, dict[str, list]]:
+    """Read an analyze results file (CSV or JSON): meta and one typed list per column."""
     p = Path(path)
     if not p.exists():
         raise ResultsFormatError(f"results file '{path}' does not exist")
@@ -227,71 +237,76 @@ def _read_results(path: str) -> tuple[dict, list[dict]]:
         if not isinstance(payload, dict) or "rows" not in payload:
             raise ResultsFormatError(f"{path}: expected an object with 'rows'")
         meta = payload.get("meta", {})
-        raw_rows = payload["rows"]
         if not isinstance(meta, dict):
             raise ResultsFormatError(f"{path}: 'meta' must be an object")
-        if not isinstance(raw_rows, list):
+        if not isinstance(payload["rows"], list):
             raise ResultsFormatError(f"{path}: 'rows' must be a list")
-        where = [f"{path} row {i}" for i in range(1, len(raw_rows) + 1)]
+        rows = []
+        for number, raw in enumerate(payload["rows"], start=1):
+            if not isinstance(raw, dict) or raw.keys() != set(ANALYZE_COLUMNS):
+                raise ResultsFormatError(f"{path} row {number}: wrong columns")
+            rows.append([raw[column] for column in ANALYZE_COLUMNS])
+        unit, numbers = "row", range(1, len(rows) + 1)
     else:
         meta = {}
-        header_line = None
         data_lines: list[str] = []
         line_numbers: list[int] = []
         with open(p, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.rstrip("\n")
                 if stripped.startswith("#"):
-                    body = stripped.lstrip("#").strip()
-                    if ":" in body:
-                        key, _, value = body.partition(":")
+                    key, colon, value = stripped.lstrip("#").strip().partition(":")
+                    if colon:
                         meta[key.strip()] = value.strip()
-                    continue
-                if header_line is None:
-                    header_line = stripped
-                    continue
-                if stripped:
+                elif stripped:
                     data_lines.append(stripped)
                     line_numbers.append(lineno)
-        if header_line is None:
-            raise ResultsFormatError(f"{path}: no header row")
-        header = next(csv.reader([header_line]))
-        if tuple(header) != ANALYZE_COLUMNS:
-            raise ResultsFormatError(
-                f"{path}: header does not match an analyze results file"
-            )
-        raw_rows = []
-        where = []
-        for lineno, line in zip(line_numbers, data_lines):
-            fields = next(csv.reader([line]))
-            if len(fields) != len(ANALYZE_COLUMNS):
+        # One reader for all lines: a record starts where the last one ended.
+        reader = csv.reader(data_lines)
+        unit, rows, numbers = "line", [], []
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ResultsFormatError(f"{path}: no header row")
+            if tuple(header) != ANALYZE_COLUMNS:
                 raise ResultsFormatError(
-                    f"{path} line {lineno}: expected {len(ANALYZE_COLUMNS)} "
-                    f"fields, got {len(fields)}"
+                    f"{path}: header does not match an analyze results file"
                 )
-            raw_rows.append(dict(zip(ANALYZE_COLUMNS, fields)))
-            where.append(f"{path} line {lineno}")
+            start = reader.line_num
+            for fields in reader:
+                if len(fields) != len(ANALYZE_COLUMNS):
+                    raise ResultsFormatError(
+                        f"{path} line {line_numbers[start]}: expected "
+                        f"{len(ANALYZE_COLUMNS)} fields, got {len(fields)}"
+                    )
+                rows.append(fields)
+                numbers.append(line_numbers[start])
+                start = reader.line_num
+        except csv.Error as exc:
+            raise ResultsFormatError(
+                f"{path} line {line_numbers[reader.line_num - 1]}: {exc}"
+            ) from None
 
-    rows = []
-    for raw, location in zip(raw_rows, where):
-        if not isinstance(raw, dict) or set(raw) != set(ANALYZE_COLUMNS):
-            raise ResultsFormatError(f"{location}: wrong columns")
-        typed = dict(raw)
-        for column in ANALYZE_COLUMNS:
-            value = raw[column]
-            try:
-                if column in _INT_COLUMNS:
-                    typed[column] = int(value)
-                elif column == "sum_variable":
-                    typed[column] = float(value)
-            except (TypeError, ValueError):
-                raise ResultsFormatError(
-                    f"{location}: column '{column}' has non-numeric value {value!r}"
-                ) from None
-        rows.append(typed)
     if not rows:
         raise ResultsFormatError(f"{path}: no result rows")
-    return meta, rows
+    try:
+        columns = {
+            column: convert(cells)
+            for column, convert, cells in zip(ANALYZE_COLUMNS, _CONVERTERS, zip(*rows))
+        }
+    except (TypeError, ValueError):
+        # Name the first bad cell in file order.
+        for fields, number in zip(rows, numbers):
+            for column, convert, value in zip(ANALYZE_COLUMNS, _CONVERTERS, fields):
+                try:
+                    convert([value])
+                except (TypeError, ValueError):
+                    raise ResultsFormatError(
+                        f"{path} {unit} {number}: column '{column}' "
+                        f"has non-numeric value {value!r}"
+                    ) from None
+        raise
+    return meta, columns
 
 
 def _write_stats(path: str, fmt: str, payload: dict) -> None:
@@ -323,25 +338,27 @@ def _write_stats(path: str, fmt: str, payload: dict) -> None:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    meta, rows = _read_results(args.results)
-    grades = [GradeVector(*(r[f] for f in GRADE_FIELDS), r["sum_variable"]) for r in rows]
+    meta, columns = _read_results(args.results)
+    grades = list(
+        map(GradeVector, *(columns[f] for f in GRADE_FIELDS), columns["sum_variable"])
+    )
     payload = {
         "meta": {
             "tool_version": __version__,
             "linsear_mode": meta.get("linsear_mode", "unspecified"),
             "quantile_convention": QUANTILE_CONVENTION,
-            "n_documents": len(rows),
+            "n_documents": len(grades),
         },
         **asdict(corpus_statistics(grades)),
     }
     _write_stats(args.out, args.format, payload)
-    print(f"stats over {len(rows)} documents written to {args.out}", file=sys.stderr)
+    print(f"stats over {len(grades)} documents written to {args.out}", file=sys.stderr)
     return 0
 
 
 def _run_report(args: argparse.Namespace) -> int:
-    meta, rows = _read_results(args.results)
-    aggregate = per_year_aggregate([(r["year"], r["sum_variable"]) for r in rows])
+    meta, columns = _read_results(args.results)
+    aggregate = per_year_aggregate(list(zip(columns["year"], columns["sum_variable"])))
     out_rows = [
         {"year": a.year, "count": a.count, "mean": a.mean, "median": a.median}
         for a in aggregate

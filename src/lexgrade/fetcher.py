@@ -220,8 +220,9 @@ def fetch_document(
     with zero network activity. A miss performs one polite retrieval,
     extracts the text, and writes <id>.meta and then <id>.txt, each
     atomically, so an interrupted write never leaves a hit without its
-    source. 404 yields NotFound; any other failure after the configured
-    retries yields TransportError.
+    source. A page without a charset in its Content-Type is read as UTF-8.
+    404 yields NotFound; any other 4xx but 429 yields TransportError at
+    once, any other failure after the configured retries.
     """
     cache_dir = Path(cache_dir)
     text_path = cache_dir / f"{celex_id}.txt"
@@ -264,7 +265,12 @@ def fetch_document(
             )
         if response.status_code != 200:
             last_error = f"HTTP {response.status_code} at {url}"
+            # A client error repeats on retry; 429 asks for one.
+            if 400 <= response.status_code < 500 and response.status_code != 429:
+                break
             continue
+        if "charset" not in response.headers.get("Content-Type", "").lower():
+            response.encoding = "utf-8"  # requests would assume ISO-8859-1
 
         retrieved_at = datetime.now(timezone.utc).isoformat()
         _atomic_write(
@@ -291,7 +297,7 @@ def fetch_document(
     return FetchResult(
         id=celex_id,
         status=FetchStatus.TRANSPORT_ERROR,
-        detail=f"{settings.retries + 1} attempts failed; last error: {last_error}",
+        detail=f"{attempt + 1} attempts failed; last error: {last_error}",
     )
 
 

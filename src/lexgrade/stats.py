@@ -4,14 +4,15 @@ Sample (n-1) variances are used throughout, including inside Cronbach's
 alpha, and quantiles use linear interpolation between order statistics
 (the "type 7" convention); both choices are named in report output so
 published numbers are auditable. Correlations are computed on the
-truncated integer grades, not the raw formula values.
+truncated integer grades, not the raw formula values. Cronbach's alpha
+takes integer columns only and is exact: it uses integer sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ConstantInputError, DegenerateVarianceError, StatisticsError
@@ -82,72 +83,75 @@ class YearAggregate(NamedTuple):
     median: float
 
 
+def _centred(column: Sequence[float]) -> tuple[float, list[float], float]:
+    """Mean, deviations from it and their sum of squares (fsum: exactly rounded)."""
+    mean = math.fsum(column) / len(column)
+    deviations = [v - mean for v in column]
+    return mean, deviations, math.fsum(d ** 2 for d in deviations)
+
+
+def _correlation(dx: list[float], sxx: float, dy: list[float], syy: float) -> float:
+    r = math.fsum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
+    return max(-1.0, min(1.0, r))
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of two equal-length vectors."""
     if len(x) != len(y):
         raise StatisticsError(f"length mismatch: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
+    if len(x) < 2:
         raise StatisticsError("need at least 2 observations")
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
-    syy = math.fsum((yi - mean_y) ** 2 for yi in y)
+    _, dx, sxx = _centred(x)
+    _, dy, syy = _centred(y)
     if sxx == 0:
         raise ConstantInputError("first vector is constant; correlation undefined")
     if syy == 0:
         raise ConstantInputError("second vector is constant; correlation undefined")
-    sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
-    r = sxy / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+    return _correlation(dx, sxx, dy, syy)
 
 
 def correlation_matrix(grades: Sequence[GradeVector]) -> CorrelationMatrix:
     """Pairwise Pearson matrix over the five grade columns.
 
-    Columns are in INDEX_LABELS order. Raises ConstantInputError naming
-    the offending column when any index is constant across documents.
+    Columns are in INDEX_LABELS order. Each column is centred once and
+    shared by its four pairs. Raises ConstantInputError naming the
+    offending column when any index is constant across documents.
     """
     if len(grades) < 2:
         raise StatisticsError("need at least 2 documents")
-    columns = [[getattr(g, field) for g in grades] for field in GRADE_FIELDS]
-    for label, column in zip(INDEX_LABELS, columns):
-        if min(column) == max(column):
+    centred = []
+    for label, field in zip(INDEX_LABELS, GRADE_FIELDS):
+        _, deviations, squares = _centred([getattr(g, field) for g in grades])
+        if squares == 0:
             raise ConstantInputError(
                 f"column '{label}' is constant; correlation undefined"
             )
+        centred.append((deviations, squares))
 
     size = len(INDEX_LABELS)
     cells = [[1.0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            try:
-                r = pearson(columns[i], columns[j])
-            except StatisticsError as exc:
-                raise StatisticsError(
-                    f"correlation ({INDEX_LABELS[i]}, {INDEX_LABELS[j]}): {exc}"
-                ) from exc
-            cells[i][j] = r
-            cells[j][i] = r
+            cells[i][j] = cells[j][i] = _correlation(*centred[i], *centred[j])
     return CorrelationMatrix(
         labels=INDEX_LABELS,
         values=tuple(tuple(row) for row in cells),
     )
 
 
-def _exact_variance(column: Sequence[Fraction]) -> Fraction:
-    n = len(column)
-    total = sum(column)
-    total_sq = sum(v * v for v in column)
-    return (n * total_sq - total * total) / Fraction(n * (n - 1))
+def _scaled_variance(column: Sequence[int]) -> int:
+    # n * sum(x^2) - (sum x)^2, which is n(n-1) times the sample variance.
+    return len(column) * sum(map(mul, column, column)) - sum(column) ** 2
 
 
-def cronbach_alpha(columns: Sequence[Sequence[float]]) -> float:
-    """Cronbach's alpha over k measurement columns.
+def cronbach_alpha(columns: Sequence[Sequence[int]]) -> float:
+    """Cronbach's alpha over k integer measurement columns.
 
     alpha = (k/(k-1)) * (1 - sum(item variances) / variance(row sums))
-    with sample variances. Computed in exact rational arithmetic so that
-    identical columns give exactly 1.0.
+    with sample variances, each taken as the exact integer n*sum(x^2) -
+    (sum x)^2, so alpha is one correctly rounded int/int division and
+    identical columns give exactly 1.0. Values must be integral (grades
+    are truncated integers); any other value raises StatisticsError.
     """
     k = len(columns)
     if k < 2:
@@ -158,16 +162,19 @@ def cronbach_alpha(columns: Sequence[Sequence[float]]) -> float:
     if any(len(c) != n for c in columns):
         raise StatisticsError("columns have unequal lengths")
 
-    exact = [[Fraction(v) for v in column] for column in columns]
-    item_var = sum(_exact_variance(column) for column in exact)
-    totals = [sum(column[i] for column in exact) for i in range(n)]
-    total_var = _exact_variance(totals)
+    try:
+        exact = [list(map(int, column)) for column in columns]
+    except (TypeError, ValueError, OverflowError):
+        exact = None
+    if exact != [list(column) for column in columns]:
+        raise StatisticsError("alpha needs integer values")
+    item_var = sum(map(_scaled_variance, exact))
+    total_var = _scaled_variance(list(map(sum, zip(*exact))))
     if total_var == 0:
         raise DegenerateVarianceError(
             "total-score variance is zero; alpha undefined"
         )
-    alpha = Fraction(k, k - 1) * (1 - item_var / total_var)
-    return float(alpha)
+    return k * (total_var - item_var) / ((k - 1) * total_var)
 
 
 def _quantile(ordered: Sequence[float], p: float) -> float:
@@ -186,15 +193,11 @@ def describe(values: Sequence[float]) -> SummaryStats:
     if n == 0:
         raise StatisticsError("cannot summarize an empty vector")
     ordered = sorted(values)
-    mean = math.fsum(values) / n
-    if n == 1:
-        sd = 0.0
-    else:
-        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+    mean, _, squares = _centred(values)
     return SummaryStats(
         n=n,
         mean=mean,
-        standard_deviation=sd,
+        standard_deviation=math.sqrt(squares / (n - 1)) if n > 1 else 0.0,
         median=_quantile(ordered, 0.5),
         q1=_quantile(ordered, 0.25),
         q3=_quantile(ordered, 0.75),

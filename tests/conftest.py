@@ -20,11 +20,13 @@ class StubRepository:
     """In-memory stand-in for the law repository, recording every request.
 
     pages maps a CELEX id to an HTML string, or to an int status code to
-    simulate failures. Unknown ids get a 404.
+    simulate failures. Unknown ids get a 404. Pages are sent as UTF-8
+    under content_type; set it without a charset to test decoding.
     """
 
     def __init__(self) -> None:
         self.pages: dict[str, str | int] = {}
+        self.content_type = "text/html; charset=utf-8"
         self.requests: list[tuple[str, float]] = []
         self.base_url = ""
         self._lock = threading.Lock()
@@ -61,7 +63,7 @@ def _make_handler(stub: StubRepository):
                     return
                 body = page.encode("utf-8")
                 self.send_response(200)
-                self.send_header("Content-Type", "text/html; charset=utf-8")
+                self.send_header("Content-Type", stub.content_type)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)

@@ -321,6 +321,26 @@ def test_criterion_5_invariants():
 # --- 6. qualitative reproduction on a >= 50-document corpus -------------------
 
 
+def _assert_stats_and_report_pinned(tmp_path, manifest, texts, results_csv):
+    """stats and report of the 55-doc corpus match tests/data byte for byte,
+    whether they read the CSV or the JSON results form."""
+    data = Path(__file__).parent / "data"
+    results_json = tmp_path / "results.json"
+    assert main([
+        "analyze", "--manifest", str(manifest), "--texts", str(texts),
+        "--out", str(results_json), "--format", "json",
+    ]) == 0
+    for results in (results_csv, results_json):
+        for command, fmt in [("stats", "csv"), ("stats", "json"),
+                             ("report", "csv"), ("report", "json")]:
+            out = tmp_path / f"{command}-from-{results.suffix[1:]}.{fmt}"
+            assert main([
+                command, "--results", str(results), "--out", str(out), "--format", fmt,
+            ]) == 0
+            pinned = data / f"synthetic55_{command}.{fmt}"
+            assert out.read_bytes() == pinned.read_bytes(), (results.name, out.name)
+
+
 def test_criterion_6_pipeline_thresholds(tmp_path):
     manifest = os.environ.get("LEXGRADE_ACCEPT_MANIFEST")
     texts = os.environ.get("LEXGRADE_ACCEPT_TEXTS")
@@ -351,6 +371,7 @@ def test_criterion_6_pipeline_thresholds(tmp_path):
     if pinned is not None:
         assert results.read_bytes() == pinned[0].read_bytes()
         assert stats_out.read_bytes() == pinned[1].read_bytes()
+        _assert_stats_and_report_pinned(tmp_path, manifest_path, texts_dir, results)
 
     payload = json.loads(stats_out.read_text(encoding="utf-8"))
     assert payload["meta"]["n_documents"] >= 50

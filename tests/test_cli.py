@@ -238,6 +238,45 @@ class TestStats:
             err = capsys.readouterr().err
             assert str(broken) in err and message in err
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [("year", 2016.9), ("g2_smog", 7.5), ("g1_flesch_kincaid", True), ("year", 2016.0)],
+    )
+    def test_json_non_integer_is_format_error(
+        self, corpus, tmp_path, capsys, column, value
+    ):
+        results = _run_analyze(corpus, fmt="json")
+        payload = json.loads(results.read_text(encoding="utf-8"))
+        payload["rows"][1][column] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        for command in ("stats", "report"):
+            assert main([
+                command, "--results", str(broken), "--out", str(tmp_path / "o.csv"),
+            ]) == 2
+            err = capsys.readouterr().err
+            assert f"{broken} row 2: column '{column}' has non-numeric value" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "first_field", ['"doc2', '"' + "x" * 200_000 + '"'], ids=["unclosed", "oversized"]
+    )
+    def test_unparsable_csv_row_names_its_line(
+        self, corpus, tmp_path, capsys, first_field
+    ):
+        # An unclosed quote runs to the end of the file; a field past the
+        # csv module's size limit cannot be read at all.
+        lines = _run_analyze(corpus).read_text(encoding="utf-8").splitlines()
+        number = next(i for i, line in enumerate(lines, 1) if line.startswith("doc2,"))
+        lines[number - 1] = first_field + lines[number - 1][len("doc2"):]
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for command in ("stats", "report"):
+            assert main([
+                command, "--results", str(broken), "--out", str(tmp_path / "o.csv"),
+            ]) == 2
+            assert f"{broken} line {number}: " in capsys.readouterr().err
+
     def test_csv_json_parity(self, corpus):
         results = _run_analyze(corpus)
         csv_out = corpus / "stats.csv"

@@ -112,6 +112,34 @@ class TestFetchDocument:
         assert "503" in result.detail
         assert len(stub_repo.requests) == 3
 
+    @pytest.mark.parametrize("code", [400, 403, 410])
+    def test_client_errors_fail_without_retry(self, stub_repo, tmp_path, code):
+        stub_repo.pages["32016R0002"] = code
+        result = fetch_document("32016R0002", tmp_path, settings(stub_repo, retries=3))
+        assert result.status is FetchStatus.TRANSPORT_ERROR
+        url = celex_url("32016R0002", stub_repo.base_url)
+        assert result.detail == f"1 attempts failed; last error: HTTP {code} at {url}"
+        assert len(stub_repo.requests) == 1
+        assert not (tmp_path / "32016R0002.txt").exists()
+
+    def test_too_many_requests_is_retried(self, stub_repo, tmp_path):
+        stub_repo.pages["32016R0002"] = 429
+        result = fetch_document("32016R0002", tmp_path, settings(stub_repo, retries=2))
+        assert result.status is FetchStatus.TRANSPORT_ERROR
+        assert "429" in result.detail
+        assert len(stub_repo.requests) == 3
+
+    @pytest.mark.parametrize(
+        "content_type", ["text/html", "text/html; charset=utf-8", "text/html; charset=UTF-8"]
+    )
+    def test_utf8_page_decoded(self, stub_repo, tmp_path, content_type):
+        stub_repo.content_type = content_type
+        stub_repo.pages["32016R0679"] = "<p>Member States’ régime applies.</p>"
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert result.status is FetchStatus.FETCHED_FRESH
+        text = result.text_path.read_text(encoding="utf-8")
+        assert text == "Member States’ régime applies."
+
     def test_text_without_meta_is_refetched(self, stub_repo, tmp_path):
         stub_repo.pages["32016R0679"] = GDPR_HTML
         (tmp_path / "32016R0679.txt").write_text("stale text", encoding="utf-8")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lexgrade.errors import (
@@ -21,6 +23,9 @@ from lexgrade.stats import (
     pearson,
     per_year_aggregate,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+import stats_reference as reference  # noqa: E402
 
 
 def gv(g1=0, g2=0, g3=0, g4=0, g5=0) -> GradeVector:
@@ -113,6 +118,13 @@ class TestCronbachAlpha:
         with pytest.raises(StatisticsError):
             cronbach_alpha([[1, 2, 3], [1, 2]])
 
+    @pytest.mark.parametrize(
+        "bad", [2.5, Fraction(1, 3), float("nan"), float("inf"), "2", None]
+    )
+    def test_non_integral_value_raises(self, bad):
+        with pytest.raises(StatisticsError, match="integer"):
+            cronbach_alpha([[1, 2, 3], [1, bad, 4], [2, 2, 3]])
+
     @given(
         st.lists(
             st.lists(st.integers(-50, 50), min_size=4, max_size=4),
@@ -183,3 +195,50 @@ class TestPerYearAggregate:
         rows = per_year_aggregate(records)
         assert sum(r.count for r in rows) == len(records)
         assert [r.year for r in rows] == sorted({y for y, _ in records})
+
+
+# Integer grade columns, from small grades to values far past any grade.
+_grade = st.one_of(st.integers(-3, 30), st.integers(-10**9, 10**9))
+
+
+def _columns(k_min: int, k_max: int):
+    return st.integers(2, 25).flatmap(
+        lambda n: st.lists(
+            st.lists(_grade, min_size=n, max_size=n), min_size=k_min, max_size=k_max
+        )
+    )
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except StatisticsError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReference:
+    """Bit equality (==) with the Fraction alpha and the pair-by-pair Pearson."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_columns(2, 6))
+    def test_alpha(self, columns):
+        assert _outcome(cronbach_alpha, columns) == _outcome(
+            reference.cronbach_alpha, columns
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(_columns(2, 2))
+    def test_pearson(self, columns):
+        assert _outcome(pearson, *columns) == _outcome(reference.pearson, *columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_columns(5, 5))
+    def test_correlation_matrix(self, columns):
+        grades = [GradeVector(*row, 0.0) for row in zip(*columns)]
+        try:
+            expected = reference.correlation_values(columns)
+        except ConstantInputError:
+            with pytest.raises(ConstantInputError):
+                correlation_matrix(grades)
+            return
+        assert correlation_matrix(grades).values == expected
