@@ -65,10 +65,17 @@ def _integers(cells) -> list[int]:
     return list(map(int, cells))
 
 
+def _floats(cells) -> list[float]:
+    # float() would read a JSON true as 1.0.
+    if bool in set(map(type, cells)):
+        raise ValueError("not a number")
+    return list(map(float, cells))
+
+
 #: Per ANALYZE_COLUMNS entry, what turns that column's cells into typed values.
 _CONVERTERS = tuple(
     list if column in ("id", "doc_type", "domain")
-    else (lambda cells: list(map(float, cells))) if column == "sum_variable"
+    else _floats if column == "sum_variable"
     else _integers
     for column in ANALYZE_COLUMNS
 )
@@ -306,6 +313,12 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
                         f"has non-numeric value {value!r}"
                     ) from None
         raise
+    for number, year in zip(numbers, columns["year"]):
+        if not 1000 <= year <= 9999:
+            raise ResultsFormatError(
+                f"{path} {unit} {number}: column 'year' has value {year}, "
+                "expected a 4-digit year"
+            )
     return meta, columns
 
 

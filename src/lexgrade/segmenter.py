@@ -12,6 +12,10 @@ splits, as a terminator must end its token. scan reads a text once into
 the counts and, per word, (syllables, ends_sentence). A terminator that
 stands alone as a token ("comply . The") ends a document sentence but is
 not a word, so a Linsear window counts only terminators on its own words.
+
+scan takes every per-token fact from one per-type table, _classify,
+bounded at 2**16 token types. An evicted type is classified again by
+the same pure functions, so results never depend on what it holds.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "TextMetrics",
@@ -156,26 +161,35 @@ def count_syllables(word: str) -> int:
     return max(1, total)
 
 
+@lru_cache(maxsize=1 << 16)
+def _classify(token: str) -> tuple[bool, int, int, int]:
+    """(ends_sentence, alnum, letters, syllables) of a token; 0 syllables if not a word."""
+    alnum = sum(ch.isalnum() for ch in token)
+    letters = sum(ch.isalpha() for ch in token)
+    return _ends_sentence(token), alnum, letters, alnum and count_syllables(token)
+
+
 def scan(text: str) -> tuple[TextMetrics, list[tuple[int, bool]]]:
     """Count one text in a single pass over its tokens.
 
     Returns the TextMetrics and, for each word token in order, its
     syllable count and whether a sentence ends after it. Sentences are
     counted as segment_sentences splits them; a punctuation-only token
-    can end a sentence but is not a word, so it has no entry.
+    can end a sentence but is not a word, so it has no entry. Per-token
+    facts come from the bounded per-type table _classify; the result does
+    not depend on what the table holds.
     """
     words: list[tuple[int, bool]] = []
-    sentences = polysyllables = characters = letters = 0
+    sentences = syllables = polysyllables = characters = letters = 0
     open_sentence = False
     for token in _normalize(text).split():
-        ends = _ends_sentence(token)
-        alnum = sum(ch.isalnum() for ch in token)
+        ends, alnum, token_letters, n = _classify(token)
         if alnum:
-            n = count_syllables(token)
             words.append((n, ends))
+            syllables += n
             polysyllables += n >= 3
             characters += alnum
-            letters += sum(ch.isalpha() for ch in token)
+            letters += token_letters
             open_sentence = True
         if ends and open_sentence:
             sentences += 1
@@ -184,7 +198,7 @@ def scan(text: str) -> tuple[TextMetrics, list[tuple[int, bool]]]:
     return TextMetrics(
         sentence_count=sentences + open_sentence,
         word_count=len(words),
-        syllable_count=sum(n for n, _ in words),
+        syllable_count=syllables,
         polysyllable_count=polysyllables,
         character_count=characters,
         letter_count=letters,

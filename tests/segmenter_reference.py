@@ -88,6 +88,18 @@ def metrics(text: str) -> dict:
     }
 
 
+def words(text: str) -> list[tuple[int, bool]]:
+    """Per word token: its syllables and whether a sentence ends after it."""
+    out = []
+    for token in tokenize_words(text):
+        match = _BOUNDARY.search(token)
+        ends = match is not None and not (
+            token[match.start()] == "." and _is_abbreviation(token, match.start())
+        )
+        out.append((count_syllables(token), ends))
+    return out
+
+
 def _sample_score(window: list[str]) -> Fraction:
     hard = sum(count_syllables(token) >= 3 for token in window)
     easy = len(window) - hard

@@ -240,7 +240,8 @@ class TestStats:
 
     @pytest.mark.parametrize(
         "column, value",
-        [("year", 2016.9), ("g2_smog", 7.5), ("g1_flesch_kincaid", True), ("year", 2016.0)],
+        [("year", 2016.9), ("g2_smog", 7.5), ("g1_flesch_kincaid", True), ("year", 2016.0),
+         ("sum_variable", True)],
     )
     def test_json_non_integer_is_format_error(
         self, corpus, tmp_path, capsys, column, value
@@ -255,7 +256,7 @@ class TestStats:
                 command, "--results", str(broken), "--out", str(tmp_path / "o.csv"),
             ]) == 2
             err = capsys.readouterr().err
-            assert f"{broken} row 2: column '{column}' has non-numeric value" in err
+            assert f"{broken} row 2: column '{column}' has non-numeric value {value!r}\n" in err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
@@ -326,6 +327,28 @@ class TestReport:
         ])
         assert code == 2
         assert "year" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("year", [99999, 999, -2016])
+    def test_year_out_of_range_names_row(self, corpus, tmp_path, capsys, year):
+        csv_lines = _run_analyze(corpus).read_text(encoding="utf-8").splitlines()
+        number = next(i for i, line in enumerate(csv_lines, 1) if line.startswith("doc2,"))
+        csv_lines[number - 1] = csv_lines[number - 1].replace(",1995,", f",{year},")
+        broken_csv = tmp_path / "broken.csv"
+        broken_csv.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        payload = json.loads(_run_analyze(corpus, fmt="json").read_text(encoding="utf-8"))
+        payload["rows"][1]["year"] = year
+        broken_json = tmp_path / "broken.json"
+        broken_json.write_text(json.dumps(payload), encoding="utf-8")
+        for broken, where in ((broken_csv, f"line {number}"), (broken_json, "row 2")):
+            for command in ("stats", "report"):
+                assert main([
+                    command, "--results", str(broken), "--out", str(tmp_path / "o.csv"),
+                ]) == 2
+                assert (
+                    f"{broken} {where}: column 'year' has value {year}, "
+                    "expected a 4-digit year\n"
+                ) in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("command", ["stats", "report"])
     def test_empty_results_is_format_error(self, corpus, tmp_path, capsys, command):

@@ -1,18 +1,27 @@
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexgrade import segmenter
+from lexgrade.cli import main
 from lexgrade.segmenter import (
     TextMetrics,
     compute_metrics,
     count_syllables,
+    scan,
     segment_sentences,
     tokenize_words,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+import segmenter_reference as reference  # noqa: E402
+from synthetic import build_corpus  # noqa: E402
 
 # words safe for sentence-building strategies: no abbreviation-list
 # tokens, no decimals
@@ -172,3 +181,61 @@ class TestComputeMetrics:
         assert m.polysyllable_count <= m.word_count
         assert m.syllable_count >= m.word_count
         assert m.letter_count <= m.character_count
+
+
+def _distinct_tokens(n: int) -> list[str]:
+    """n pairwise distinct word tokens: letters, then the token's own number."""
+    stems = ["ba", "ke", "lin", "mo", "nu", "rate", "se", "ti", "vo", "zy",
+             "ple", "tre", "ax", "ion", "ue", "sk", "ee", "ly", "cae", "dre"]
+    endings = ["", "", ".", "", "?", ".)", ",", "", "!\u201d", ""]
+    tokens = []
+    for i in range(n):
+        stem = stems[i % 20] + stems[i // 20 % 20] + stems[i // 400 % 20]
+        joiner = "-" if i % 3 == 0 else ""
+        tokens.append(f"{stem}{joiner}{i}{endings[i % 10]}")
+    return tokens
+
+
+class TestClassifierCache:
+    def test_bound_is_fixed(self):
+        assert segmenter._classify.cache_info().maxsize == 1 << 16
+
+    def test_eviction_changes_no_count(self, tmp_path):
+        segmenter._classify.cache_clear()
+        maxsize = segmenter._classify.cache_info().maxsize
+        tokens = _distinct_tokens(maxsize + 4_000)
+        for i in range(0, len(tokens), 11):
+            tokens.insert(i, ["Art.", ".", "(No.", "law."][i % 4])
+        # The first tokens come back after the table has evicted them.
+        text = " ".join(tokens + tokens[:6_000])
+        m, words = scan(text)
+        info = segmenter._classify.cache_info()
+        assert info.currsize == maxsize and info.misses > maxsize
+        assert vars(m) == reference.metrics(text)
+        assert words == reference.words(text)
+
+        # A full table of unrelated types leaves the pinned corpus bytes alone.
+        manifest = build_corpus(tmp_path, n=55)
+        results = tmp_path / "results.csv"
+        assert main([
+            "analyze", "--manifest", str(manifest),
+            "--texts", str(tmp_path / "texts"), "--out", str(results),
+        ]) == 0
+        pinned = Path(__file__).parent / "data" / "synthetic55_results.csv"
+        assert results.read_bytes() == pinned.read_bytes()
+
+    def test_syllables_counted_once_per_type(self, monkeypatch):
+        counted = []
+
+        def counting(token):
+            counted.append(token)
+            return count_syllables(token)
+
+        segmenter._classify.cache_clear()
+        monkeypatch.setattr(segmenter, "count_syllables", counting)
+        text = "The law applies. Member States (Art. 5) shall apply the law! " * 40
+        text += "The data , 2016/679 ... apply."
+        m, words = scan(text)
+        types = set(tokenize_words(text))
+        assert m.word_count == len(words) > 10 * len(types)
+        assert sorted(counted) == sorted(types)
