@@ -313,12 +313,32 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
                         f"has non-numeric value {value!r}"
                     ) from None
         raise
-    for number, year in zip(numbers, columns["year"]):
-        if not 1000 <= year <= 9999:
-            raise ResultsFormatError(
-                f"{path} {unit} {number}: column 'year' has value {year}, "
-                "expected a 4-digit year"
-            )
+    # Columns that analyze derives from others must agree with them.
+    years, words, polysyllables = (
+        columns[c] for c in ("year", "word_count", "polysyllable_count")
+    )
+    fk, smog, ari = (columns[f] for f in GRADE_FIELDS[:3])
+    derived = {
+        "hard_word_count": polysyllables,
+        "easy_word_count": [w - p for w, p in zip(words, polysyllables)],
+        "sum_variable": [(a + b + c) / 3 for a, b, c in zip(fk, smog, ari)],
+    }
+    if not 1000 <= min(years) <= max(years) <= 9999 or any(
+        columns[column] != expected for column, expected in derived.items()
+    ):
+        # Name the first bad row in file order.
+        for i, (number, year) in enumerate(zip(numbers, years)):
+            if not 1000 <= year <= 9999:
+                raise ResultsFormatError(
+                    f"{path} {unit} {number}: column 'year' has value {year}, "
+                    "expected a 4-digit year"
+                )
+            for column, expected in derived.items():
+                if columns[column][i] != expected[i]:
+                    raise ResultsFormatError(
+                        f"{path} {unit} {number}: column '{column}' "
+                        f"has value {columns[column][i]}, expected {expected[i]}"
+                    )
     return meta, columns
 
 

@@ -17,7 +17,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import CorpusAnalysisError, DegenerateTextError, ManifestError
 from .indices import GradeVector, grade_metrics
@@ -132,8 +132,9 @@ def _parse_record(raw: dict, where: str, seen_ids: set[str]) -> DocumentRecord:
         )
 
     year_raw = str(raw["year"]).strip()
-    if not re.fullmatch(r"\d{4}", year_raw):
-        raise ManifestError(f"{where}: year '{year_raw}' is not a 4-digit integer")
+    # The same 1000-9999 range that stats and report accept.
+    if not (re.fullmatch(r"\d{4}", year_raw) and int(year_raw) >= 1000):
+        raise ManifestError(f"{where}: year '{year_raw}' is not a 4-digit year")
 
     return DocumentRecord(
         id=doc_id,
@@ -195,26 +196,25 @@ def load_manifest(path: str | Path) -> list[DocumentRecord]:
 
 # Mastheads and page furniture of Official Journal layouts; matching
 # lines are dropped before segmentation because they distort sentence
-# counts. Callers can extend the list.
-DEFAULT_BOILERPLATE_PATTERNS = (
+# counts. One alternation of all four would scan long lines ~10x slower.
+_BOILERPLATE = tuple(map(re.compile, (
     r"Official Journal of the European (Union|Communities)",
     r"^\s*\d{1,2}\.\d{1,2}\.\d{4}\s+EN\s*$",
     r"^\s*EN\s*$",
     r"^\s*[LC]\s?\d+/\d+\s*$",
-)
+)))
 
 _CONTROL = {c: " " for c in range(32) if chr(c) not in "\n\t"}
 _CONTROL[127] = " "
 
 
-def clean_text(raw: str, boilerplate: Iterable[str] = DEFAULT_BOILERPLATE_PATTERNS) -> str:
+def clean_text(raw: str) -> str:
     """Normalize a raw document text.
 
     Strips control characters, drops boilerplate-matched lines, collapses
     whitespace runs to single spaces, and preserves paragraph breaks as
     blank lines. Idempotent.
     """
-    patterns = [re.compile(p) for p in boilerplate]
     text = unicodedata.normalize("NFC", raw)
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     text = text.translate(_CONTROL)
@@ -222,7 +222,7 @@ def clean_text(raw: str, boilerplate: Iterable[str] = DEFAULT_BOILERPLATE_PATTER
     paragraphs: list[str] = []
     current: list[str] = []
     for line in text.split("\n"):
-        if any(p.search(line) for p in patterns):
+        if any(p.search(line) for p in _BOILERPLATE):
             continue
         if line.strip():
             current.append(" ".join(line.split()))
@@ -238,7 +238,6 @@ def analyze_document(
     record: DocumentRecord,
     text: str,
     mode: str = "windowed",
-    boilerplate: Iterable[str] = DEFAULT_BOILERPLATE_PATTERNS,
 ) -> tuple[TextMetrics, GradeVector]:
     """Clean, count and grade one document.
 
@@ -246,7 +245,7 @@ def analyze_document(
     has no measurable prose.
     """
     try:
-        return grade_metrics(clean_text(text, boilerplate), mode)
+        return grade_metrics(clean_text(text), mode)
     except DegenerateTextError as exc:
         raise DegenerateTextError(f"document '{record.id}': {exc}") from exc
 
@@ -265,7 +264,6 @@ def analyze_corpus(
     records: Sequence[DocumentRecord],
     resolver: Callable[[DocumentRecord], str],
     mode: str = "windowed",
-    boilerplate: Iterable[str] = DEFAULT_BOILERPLATE_PATTERNS,
 ) -> CorpusReport:
     """Analyze every manifest record into graded rows and failures.
 
@@ -278,7 +276,7 @@ def analyze_corpus(
     for record in records:
         try:
             text = resolver(record)
-            metrics, grades = analyze_document(record, text, mode, boilerplate)
+            metrics, grades = analyze_document(record, text, mode)
         except (DegenerateTextError, OSError, LookupError, UnicodeError) as exc:
             failures.append(Failure(id=record.id, reason=str(exc)))
             continue

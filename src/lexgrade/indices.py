@@ -3,12 +3,13 @@
 Four indices are plain ratio formulas over TextMetrics; Linsear Write
 scores 100-word samples of the per-word table that segmenter.scan builds
 in the same pass. Every raw value is truncated UP to the nearest integer
-(negative grades are possible and preserved). Raw values are evaluated
-exactly, as fractions of the decimal constants, so the grade is the
-true ceiling for any document size: a raw value that is an integer gains
-no spurious +1 from binary rounding, and one a hair above an integer
-still rounds up. SMOG's ceiling is decided on squares, so no square root
-enters the comparison.
+(negative grades are possible and preserved), and every ceiling is exact
+for any document size. Flesch-Kincaid, ARI and Coleman-Liau are each one
+integer ceiling division: their decimal constants are scaled to integers
+over a common denominator of the counts. SMOG's square root is decided
+by an integer square root, and Linsear averages exact fractions. No
+binary rounding enters, so a raw value that is an integer gains no
+spurious +1, and one a hair above an integer still rounds up.
 """
 
 from __future__ import annotations
@@ -73,55 +74,36 @@ def _require(condition: bool, what: str) -> None:
 def flesch_kincaid(m: TextMetrics) -> int:
     _require(m.sentence_count >= 1, "sentence count is zero")
     _require(m.word_count >= 1, "word count is zero")
-    raw = (
-        Fraction("0.39") * Fraction(m.word_count, m.sentence_count)
-        + Fraction("11.8") * Fraction(m.syllable_count, m.word_count)
-        - Fraction("15.59")
-    )
-    return math.ceil(raw)
+    # 0.39 W/S + 11.8 Syl/W - 15.59, over the denominator 100 S W.
+    s, w = m.sentence_count, m.word_count
+    num = 39 * w * w + 1180 * m.syllable_count * s - 1559 * s * w
+    return -(-num // (100 * s * w))
 
 
 def smog(m: TextMetrics) -> int:
     _require(m.sentence_count >= 1, "sentence count is zero")
-    # raw = 1.0430 * sqrt(radicand) + 3.1291, and raw <= g exactly when
-    # (g - 3.1291) / 1.0430 is non-negative and its square >= radicand.
-    radicand = Fraction(30 * m.polysyllable_count, m.sentence_count)
-    scale, offset = Fraction("1.0430"), Fraction("3.1291")
-
-    def at_most(grade: int) -> bool:
-        bound = (grade - offset) / scale
-        return bound >= 0 and radicand <= bound * bound
-
-    # The float estimate is off by at most one either way.
-    grade = math.ceil(float(scale) * math.sqrt(radicand) + float(offset))
-    while not at_most(grade):
-        grade += 1
-    while at_most(grade - 1):
-        grade -= 1
-    return grade
+    # raw = (x + 31291) / 10^4 with x = sqrt(30 P 10430^2 / S), and for an
+    # integer divisor the ceiling of raw is that of (ceil(x) + 31291) / 10^4.
+    # ceil(x) is the least t >= 0 with t^2 >= r, r the ceiling of x^2.
+    r = -(-30 * m.polysyllable_count * 10430**2 // m.sentence_count)
+    t = math.isqrt(r - 1) + 1 if r else 0
+    return -(-(t + 31291) // 10**4)
 
 
 def ari(m: TextMetrics) -> int:
     _require(m.sentence_count >= 1, "sentence count is zero")
     _require(m.word_count >= 1, "word count is zero")
-    raw = (
-        Fraction("4.71") * Fraction(m.character_count, m.word_count)
-        + Fraction("0.5") * Fraction(m.word_count, m.sentence_count)
-        - Fraction("21.43")
-    )
-    return math.ceil(raw)
+    # 4.71 C/W + 0.5 W/S - 21.43, over the denominator 100 S W.
+    s, w = m.sentence_count, m.word_count
+    num = 471 * m.character_count * s + 50 * w * w - 2143 * s * w
+    return -(-num // (100 * s * w))
 
 
 def coleman_liau(m: TextMetrics) -> int:
     _require(m.word_count >= 1, "word count is zero")
-    letters_per_100 = Fraction(100 * m.letter_count, m.word_count)
-    sentences_per_100 = Fraction(100 * m.sentence_count, m.word_count)
-    raw = (
-        Fraction("0.0588") * letters_per_100
-        - Fraction("0.296") * sentences_per_100
-        - Fraction("15.8")
-    )
-    return math.ceil(raw)
+    # 0.0588 (100 L/W) - 0.296 (100 S/W) - 15.8, over the denominator 100 W.
+    num = 588 * m.letter_count - 2960 * m.sentence_count - 1580 * m.word_count
+    return -(-num // (100 * m.word_count))
 
 
 def _check_mode(mode: str) -> None:

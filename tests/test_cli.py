@@ -350,6 +350,34 @@ class TestReport:
                 ) in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("column", ["hard_word_count", "easy_word_count", "sum_variable"])
+    def test_derived_column_contradicting_counts_names_row(
+        self, corpus, tmp_path, capsys, column
+    ):
+        payload = json.loads(_run_analyze(corpus, fmt="json").read_text(encoding="utf-8"))
+        expected = payload["rows"][1][column]
+        value = 42.0 if column == "sum_variable" else expected + 1
+        payload["rows"][1][column] = value
+        broken_json = tmp_path / "broken.json"
+        broken_json.write_text(json.dumps(payload), encoding="utf-8")
+        csv_lines = _run_analyze(corpus).read_text(encoding="utf-8").splitlines()
+        number = next(i for i, line in enumerate(csv_lines, 1) if line.startswith("doc2,"))
+        fields = csv_lines[number - 1].split(",")
+        fields[ANALYZE_COLUMNS.index(column)] = str(value)
+        csv_lines[number - 1] = ",".join(fields)
+        broken_csv = tmp_path / "broken.csv"
+        broken_csv.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        for broken, where in ((broken_csv, f"line {number}"), (broken_json, "row 2")):
+            for command in ("stats", "report"):
+                assert main([
+                    command, "--results", str(broken), "--out", str(tmp_path / "o.csv"),
+                ]) == 2
+                assert (
+                    f"{broken} {where}: column '{column}' has value {value}, "
+                    f"expected {expected}\n"
+                ) in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("command", ["stats", "report"])
     def test_empty_results_is_format_error(self, corpus, tmp_path, capsys, command):
         header_only = tmp_path / "empty.csv"

@@ -115,6 +115,24 @@ class TestLoadManifest:
         records = load_manifest(manifest)
         assert records[0].id == "32016R0679"
 
+    @pytest.mark.parametrize(
+        "year, accepted", [("0999", False), ("0000", False), ("1000", True), ("9999", True)]
+    )
+    def test_year_range(self, tmp_path, year, accepted):
+        csv_manifest = tmp_path / "m.csv"
+        write_manifest(csv_manifest, [f"a,Regulation,{year},A,GeneralRules,a.txt"])
+        json_manifest = tmp_path / "m.json"
+        json_manifest.write_text(json.dumps([{
+            "id": "a", "doc_type": "Regulation", "year": year,
+            "title": "A", "domain": "GeneralRules", "source": "a.txt",
+        }]), encoding="utf-8")
+        for manifest, where in ((csv_manifest, "row 2"), (json_manifest, "entry 1")):
+            if accepted:
+                assert load_manifest(manifest)[0].year == int(year)
+            else:
+                with pytest.raises(ManifestError, match=f"{where}: year '{year}'"):
+                    load_manifest(manifest)
+
     def test_unsupported_extension(self, tmp_path):
         path = tmp_path / "m.yaml"
         path.write_text("id: x\n", encoding="utf-8")
@@ -133,6 +151,9 @@ class TestCleanText:
     def test_page_marker_dropped(self):
         raw = "One.\n\nL 119/2\n\nTwo."
         assert clean_text(raw) == "One.\n\nTwo."
+        # The page header's date line and a lone language code go too.
+        assert clean_text("One.\n12.5.2016 EN\nTwo.") == "One. Two."
+        assert clean_text("One.\n EN \nTwo.") == "One. Two."
 
     def test_idempotent(self):
         cleaned = clean_text("Some  text.\n\n\nMore \t text.")
@@ -140,10 +161,6 @@ class TestCleanText:
 
     def test_paragraph_breaks_preserved(self):
         assert clean_text("One.\n\nTwo.") == "One.\n\nTwo."
-
-    def test_custom_pattern(self):
-        raw = "keep this\nDRAFT WATERMARK\nand this"
-        assert "WATERMARK" not in clean_text(raw, ["WATERMARK"])
 
 
 class TestAnalyzeDocument:

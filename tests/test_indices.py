@@ -71,6 +71,15 @@ class TestSmog:
     def test_three_per_sentence(self):
         assert smog(metrics(sentences=30, words=90, polysyllables=90)) == 14
 
+    def test_raw_exactly_four(self):
+        # 30 P / S = (8709 / 10430)^2, so raw = 0.8709 + 3.1291 = 4.
+        assert smog(metrics(sentences=30 * 10430**2, polysyllables=8709**2)) == 4
+
+    def test_raw_just_above_four(self):
+        assert smog(metrics(sentences=30 * 10430**2, polysyllables=8709**2 + 1)) == 5
+        # A radicand of 8709^2 + 1/2, between two integers.
+        assert smog(metrics(sentences=60 * 10430**2, polysyllables=2 * 8709**2 + 1)) == 5
+
 
 class TestAri:
     def test_tiny(self):
@@ -187,6 +196,17 @@ _random_metrics = st.builds(
     letters=st.integers(0, 30000),
 )
 
+# Regulation-sized counts, past where float ceilings broke.
+_regulation_metrics = st.builds(
+    metrics,
+    sentences=st.integers(1, 10**5),
+    words=st.integers(1, 10**7),
+    syllables=st.integers(0, 3 * 10**7),
+    polysyllables=st.integers(0, 10**7),
+    characters=st.integers(0, 10**8),
+    letters=st.integers(0, 10**8),
+)
+
 
 # Exact raw formula values: the constants are decimal, so everything
 # except SMOG's square root is a Fraction; the SMOG bounds are compared
@@ -232,7 +252,7 @@ def assert_smog_ceiling_contract(grade: int, m) -> None:
 
 
 class TestCeilingContract:
-    @given(_random_metrics)
+    @given(st.one_of(_random_metrics, _regulation_metrics))
     def test_all_formula_indices(self, m):
         assert_ceiling_contract(flesch_kincaid(m), exact_fk(m))
         assert_ceiling_contract(ari(m), exact_ari(m))
