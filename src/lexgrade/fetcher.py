@@ -6,29 +6,43 @@ on-disk cache (<id>.txt plus <id>.meta with the retrieval timestamp and
 source URL); a cache hit needs both files and never touches the network,
 so a fully cached manifest can be re-analyzed offline and reproducibly.
 
+A hit also needs the .meta's source URL, when it names one, to be the
+URL the current base URL gives, so a cache filled from a mirror or a stub
+is fetched again rather than served as EUR-Lex.
+
 Politeness defaults: one request at a time, 1000 ms between request
 starts, 3 retries with exponential backoff, and an identifying
-user-agent; at most MAX_CONCURRENCY requests ever overlap. The base URL
+user-agent; at most MAX_CONCURRENCY fetches ever overlap. The base URL
 can be overridden, which is also how tests point the fetcher at a local
-stub server.
+stub server; it must be http:// or https:// with a host.
+
+HTTP goes through the standard library's urllib, with no third-party
+client. Redirects are followed. The http_proxy, https_proxy and no_proxy
+environment variables are honoured by urllib's ProxyHandler. TLS checks
+certificates against the system CA store (SSL_CERT_FILE overrides it).
+Every request carries http.client's Accept-Encoding: identity, so pages
+arrive uncompressed, and opens its own connection: keep-alive is not
+attempted.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import tempfile
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .corpus import DocumentRecord
 from .errors import LexgradeError, MalformedCelexError
@@ -47,7 +61,7 @@ __all__ = [
 
 DEFAULT_BASE_URL = "https://eur-lex.europa.eu"
 
-#: Upper bound on overlapping requests (and so on fetch threads).
+#: Upper bound on overlapping fetches (and so on fetch threads).
 MAX_CONCURRENCY = 8
 
 _USER_AGENT = "lexgrade/0.1.0 (readability corpus fetcher)"
@@ -68,6 +82,14 @@ class FetchSettings:
     user_agent: str = _USER_AGENT
 
     def __post_init__(self) -> None:
+        try:
+            parts = urlsplit(self.base_url)
+        except ValueError:  # e.g. an unclosed IPv6 bracket
+            parts = None
+        if not (parts and parts.scheme in ("http", "https") and parts.hostname):
+            raise LexgradeError(
+                f"base URL must be http:// or https:// with a host, got '{self.base_url}'"
+            )
         if self.concurrency > MAX_CONCURRENCY:
             raise LexgradeError(
                 f"concurrency must be at most {MAX_CONCURRENCY}, got {self.concurrency}"
@@ -216,13 +238,15 @@ def fetch_document(
 ) -> FetchResult:
     """Fetch one document into the cache, or serve it from there.
 
-    A cache hit (both <id>.txt and <id>.meta present) returns FromCache
+    A cache hit (both <id>.txt and <id>.meta present, and no string
+    source_url in the .meta other than this base URL's) returns FromCache
     with zero network activity. A miss performs one polite retrieval,
     extracts the text, and writes <id>.meta and then <id>.txt, each
     atomically, so an interrupted write never leaves a hit without its
-    source. A page without a charset in its Content-Type is read as UTF-8.
-    404 yields NotFound; any other 4xx but 429 yields TransportError at
-    once, any other failure after the configured retries.
+    source. A page is decoded by the charset in its Content-Type, as UTF-8
+    when it names none or one Python does not know. 404 yields NotFound;
+    any other 4xx but 429 yields TransportError at once, any other status
+    but 200 or a failed transport after the configured retries.
     """
     cache_dir = Path(cache_dir)
     text_path = cache_dir / f"{celex_id}.txt"
@@ -233,17 +257,23 @@ def fetch_document(
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             meta = None
-        retrieved_at = meta.get("retrieved_at") if isinstance(meta, dict) else None
-        return FetchResult(
-            id=celex_id,
-            status=FetchStatus.FROM_CACHE,
-            text_path=text_path,
-            retrieved_at=retrieved_at,
-        )
+        if not isinstance(meta, dict):
+            meta = {}
+        source_url = meta.get("source_url")
+        if not isinstance(source_url, str) or source_url == celex_url(
+            celex_id, settings.base_url
+        ):
+            return FetchResult(
+                id=celex_id,
+                status=FetchStatus.FROM_CACHE,
+                text_path=text_path,
+                retrieved_at=meta.get("retrieved_at"),
+            )
 
     url = celex_url(celex_id, settings.base_url)
     cache_dir.mkdir(parents=True, exist_ok=True)
     limiter = _limiter or _RateLimiter(settings.delay_ms / 1000.0)
+    request = urllib.request.Request(url, headers={"User-Agent": settings.user_agent})
 
     last_error = ""
     for attempt in range(settings.retries + 1):
@@ -251,26 +281,32 @@ def fetch_document(
             time.sleep((settings.delay_ms / 1000.0) * (2 ** (attempt - 1)))
         limiter.wait()
         try:
-            response = requests.get(
-                url,
-                headers={"User-Agent": settings.user_agent},
-                timeout=settings.timeout_s,
-            )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=settings.timeout_s) as response:
+                status = response.status
+                # urlopen raises on a status outside 2xx but returns a 204
+                body = response.read() if status == 200 else b""
+                charset = response.headers.get_content_charset() or "utf-8"
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status = exc.code
+        except (OSError, http.client.HTTPException) as exc:
+            # timeouts, refused connections, a body cut short (IncompleteRead)
             last_error = str(exc)
             continue
-        if response.status_code == 404:
+        if status == 404:
             return FetchResult(
                 id=celex_id, status=FetchStatus.NOT_FOUND, detail=f"404 at {url}"
             )
-        if response.status_code != 200:
-            last_error = f"HTTP {response.status_code} at {url}"
+        if status != 200:
+            last_error = f"HTTP {status} at {url}"
             # A client error repeats on retry; 429 asks for one.
-            if 400 <= response.status_code < 500 and response.status_code != 429:
+            if 400 <= status < 500 and status != 429:
                 break
             continue
-        if "charset" not in response.headers.get("Content-Type", "").lower():
-            response.encoding = "utf-8"  # requests would assume ISO-8859-1
+        try:
+            html = body.decode(charset, errors="replace")
+        except LookupError:  # a charset name Python does not know
+            html = body.decode("utf-8", errors="replace")
 
         retrieved_at = datetime.now(timezone.utc).isoformat()
         _atomic_write(
@@ -286,7 +322,7 @@ def fetch_document(
             )
             + "\n",
         )
-        _atomic_write(text_path, extract_text_from_html(response.text))
+        _atomic_write(text_path, extract_text_from_html(html))
         return FetchResult(
             id=celex_id,
             status=FetchStatus.FETCHED_FRESH,
@@ -309,7 +345,7 @@ def fetch_all(
     """Fetch every manifest record, order preserved.
 
     Per-document problems are surfaced in the result statuses, never
-    raised. Requests may overlap up to settings.concurrency; starts are
+    raised. Fetches may overlap up to settings.concurrency; starts are
     still spaced by the politeness delay.
     """
     limiter = _RateLimiter(settings.delay_ms / 1000.0)

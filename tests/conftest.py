@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -16,26 +18,44 @@ def data_dir() -> Path:
     return DATA_DIR
 
 
+@dataclass
+class Reply:
+    """A scripted answer: status, raw body and headers, sent as given.
+
+    content_length, when set, is the Content-Length sent in place of the
+    body's real length; a larger value makes a truncated body.
+    """
+
+    status: int = 200
+    body: bytes = b""
+    headers: dict[str, str] = field(default_factory=dict)
+    content_length: int | None = None
+
+
 class StubRepository:
     """In-memory stand-in for the law repository, recording every request.
 
-    pages maps a CELEX id to an HTML string, or to an int status code to
-    simulate failures. Unknown ids get a 404. Pages are sent as UTF-8
-    under content_type; set it without a charset to test decoding.
+    pages maps a CELEX id to an HTML string, to an int status code to
+    simulate failures, or to a Reply for anything else (extra headers,
+    redirects, other encodings, truncated bodies). Unknown ids get a 404.
+    HTML strings are sent as UTF-8 under content_type; set it without a
+    charset to test decoding.
     """
 
     def __init__(self) -> None:
-        self.pages: dict[str, str | int] = {}
+        self.pages: dict[str, str | int | Reply] = {}
         self.content_type = "text/html; charset=utf-8"
         self.requests: list[tuple[str, float]] = []
+        self.user_agents: list[str | None] = []
         self.base_url = ""
         self._lock = threading.Lock()
         self.active = 0
         self.max_active = 0
 
-    def record(self, path: str) -> None:
+    def record(self, path: str, user_agent: str | None) -> None:
         with self._lock:
             self.requests.append((path, time.monotonic()))
+            self.user_agents.append(user_agent)
             self.active += 1
             self.max_active = max(self.max_active, self.active)
 
@@ -51,7 +71,7 @@ class StubRepository:
 def _make_handler(stub: StubRepository):
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self):
-            stub.record(self.path)
+            stub.record(self.path, self.headers.get("User-Agent"))
             try:
                 query = parse_qs(urlparse(self.path).query)
                 uri = query.get("uri", [""])[0]
@@ -61,12 +81,18 @@ def _make_handler(stub: StubRepository):
                     self.send_response(page)
                     self.end_headers()
                     return
-                body = page.encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", stub.content_type)
-                self.send_header("Content-Length", str(len(body)))
+                if isinstance(page, str):
+                    body = page.encode("utf-8")
+                    page = Reply(body=body, headers={"Content-Type": stub.content_type})
+                self.send_response(page.status)
+                for name, value in page.headers.items():
+                    self.send_header(name, value)
+                length = page.content_length
+                self.send_header(
+                    "Content-Length", str(len(page.body) if length is None else length)
+                )
                 self.end_headers()
-                self.wfile.write(body)
+                self.wfile.write(page.body)
             finally:
                 stub.release()
 
@@ -76,13 +102,29 @@ def _make_handler(stub: StubRepository):
     return Handler
 
 
-@pytest.fixture
-def stub_repo():
+@contextlib.contextmanager
+def _serving():
     stub = StubRepository()
     server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(stub))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     stub.base_url = f"http://127.0.0.1:{server.server_address[1]}"
-    yield stub
-    server.shutdown()
-    thread.join(timeout=5)
+    try:
+        yield stub
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def stub_repo():
+    with _serving() as stub:
+        yield stub
+
+
+@pytest.fixture
+def mirror_repo():
+    """A second stub repository, independent of stub_repo, at its own URL."""
+    with _serving() as stub:
+        yield stub

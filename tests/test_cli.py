@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -468,6 +471,35 @@ class TestFetchCommand:
         assert "concurrency" in capsys.readouterr().err
         assert stub_repo.requests == []
         assert not (corpus / "cache").exists()
+
+    def test_base_url_without_scheme_is_config_error(self, corpus, monkeypatch, capsys):
+        manifest = corpus / "fetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n",
+            encoding="utf-8",
+        )
+
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("fetch_all must not start")
+
+        monkeypatch.setattr("lexgrade.cli.fetch_all", no_fetch)
+        assert main([
+            "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
+            "--base-url", "eur-lex.europa.eu",
+        ]) == 2
+        assert "'eur-lex.europa.eu'" in capsys.readouterr().err
+        assert not (corpus / "cache").exists()
+
+    def test_import_does_not_load_requests(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import lexgrade.cli, sys; print('requests' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_env_override_base_url(self, corpus, stub_repo, monkeypatch):
         stub_repo.pages["31995L0046"] = "<p>Doc.</p>"

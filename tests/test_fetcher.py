@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from conftest import Reply
 from lexgrade.corpus import DocType, Domain, DocumentRecord
 from lexgrade.errors import LexgradeError, MalformedCelexError
 from lexgrade.fetcher import (
@@ -140,6 +142,56 @@ class TestFetchDocument:
         text = result.text_path.read_text(encoding="utf-8")
         assert text == "Member States’ régime applies."
 
+    def test_redirect_followed(self, stub_repo, tmp_path):
+        stub_repo.pages["32016R0679"] = Reply(
+            status=301, headers={"Location": "/moved/?uri=CELEX:32016R9999"}
+        )
+        stub_repo.pages["32016R9999"] = GDPR_HTML
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert result.status is FetchStatus.FETCHED_FRESH
+        assert result.text_path.read_text(encoding="utf-8") == extract_text_from_html(
+            GDPR_HTML
+        )
+        assert stub_repo.requests[1][0].startswith("/moved/")
+        meta = json.loads((tmp_path / "32016R0679.meta").read_text())
+        assert meta["source_url"] == celex_url("32016R0679", stub_repo.base_url)
+
+    @pytest.mark.parametrize(
+        "charset, body, text",
+        [
+            ("iso-8859-1", "<p>Le régime.</p>".encode("iso-8859-1"), "Le régime."),
+            ("no-such-charset", "<p>Le régime.</p>".encode("utf-8"), "Le régime."),
+        ],
+    )
+    def test_declared_charset_decoded(self, stub_repo, tmp_path, charset, body, text):
+        stub_repo.pages["32016R0679"] = Reply(
+            body=body, headers={"Content-Type": f"text/html; charset={charset}"}
+        )
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert result.status is FetchStatus.FETCHED_FRESH
+        assert result.text_path.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            pytest.param(204, id="no-content"),
+            pytest.param(Reply(body=b"<p>Cut sh", content_length=500), id="truncated"),
+        ],
+    )
+    def test_unusable_response_is_transport_error(self, stub_repo, tmp_path, reply):
+        stub_repo.pages["32016R0679"] = reply
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo, retries=2))
+        assert result.status is FetchStatus.TRANSPORT_ERROR
+        assert result.detail.startswith("3 attempts failed")
+        assert len(stub_repo.requests) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sends_user_agent(self, stub_repo, tmp_path):
+        stub_repo.pages["32016R0679"] = GDPR_HTML
+        cfg = settings(stub_repo, user_agent="lexgrade-test/1.0 (stub)")
+        fetch_document("32016R0679", tmp_path, cfg)
+        assert stub_repo.user_agents == [cfg.user_agent]
+
     def test_text_without_meta_is_refetched(self, stub_repo, tmp_path):
         stub_repo.pages["32016R0679"] = GDPR_HTML
         (tmp_path / "32016R0679.txt").write_text("stale text", encoding="utf-8")
@@ -162,6 +214,40 @@ class TestFetchDocument:
         assert result.status is FetchStatus.FROM_CACHE
         assert result.retrieved_at is None
         assert stub_repo.requests == []
+
+    @pytest.mark.parametrize("meta", ["{}", '{"source_url": 7}'])
+    def test_meta_without_source_url_is_cache_hit(self, stub_repo, tmp_path, meta):
+        (tmp_path / "32016R0679.txt").write_text("cached text", encoding="utf-8")
+        (tmp_path / "32016R0679.meta").write_text(meta, encoding="utf-8")
+
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert result.status is FetchStatus.FROM_CACHE
+        assert stub_repo.requests == []
+
+    def test_cache_from_other_base_url_is_refetched(
+        self, stub_repo, mirror_repo, tmp_path
+    ):
+        mirror_repo.pages["32016R0679"] = "<p>Mirror copy.</p>"
+        stub_repo.pages["32016R0679"] = GDPR_HTML
+        mirrored = fetch_document("32016R0679", tmp_path, settings(mirror_repo))
+        assert mirrored.status is FetchStatus.FETCHED_FRESH
+
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert result.status is FetchStatus.FETCHED_FRESH
+        assert result.text_path.read_text(encoding="utf-8") == extract_text_from_html(
+            GDPR_HTML
+        )
+        meta = json.loads((tmp_path / "32016R0679.meta").read_text())
+        assert meta["source_url"] == celex_url("32016R0679", stub_repo.base_url)
+        assert len(stub_repo.requests) == 1
+
+        # the same base URL, trailing slash or not, is now a hit
+        for base_url in (stub_repo.base_url, stub_repo.base_url + "/"):
+            cfg = settings(stub_repo, base_url=base_url)
+            again = fetch_document("32016R0679", tmp_path, cfg)
+            assert again.status is FetchStatus.FROM_CACHE
+        assert len(stub_repo.requests) == 1
+        assert len(mirror_repo.requests) == 1
 
     def test_text_path_present_iff_success(self, stub_repo, tmp_path):
         stub_repo.pages["32016R0679"] = GDPR_HTML
@@ -229,6 +315,20 @@ class TestFetchAll:
         records = [record(f"3202{i}R000{i}") for i in range(4)]
         fetch_all(records, tmp_path, settings(stub_repo, concurrency=1))
         assert stub_repo.max_active == 1
+
+    @pytest.mark.parametrize(
+        "base_url",
+        [
+            "eur-lex.europa.eu",
+            "ftp://eur-lex.europa.eu",
+            "https://",
+            "file:///srv/eur-lex",
+            "http://[::1",
+        ],
+    )
+    def test_base_url_without_http_host_rejected(self, base_url):
+        with pytest.raises(LexgradeError, match=re.escape(f"'{base_url}'")):
+            FetchSettings(base_url=base_url)
 
     def test_concurrency_above_cap_rejected(self):
         assert FetchSettings(concurrency=MAX_CONCURRENCY).concurrency == MAX_CONCURRENCY
