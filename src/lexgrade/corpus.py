@@ -204,20 +204,33 @@ _BOILERPLATE = tuple(map(re.compile, (
     r"^\s*[LC]\s?\d+/\d+\s*$",
 )))
 
-_CONTROL = {c: " " for c in range(32) if chr(c) not in "\n\t"}
-_CONTROL[127] = " "
+# C0 controls other than tab and newline, and DEL, each become a space.
+_CONTROL = bytes.maketrans(
+    bytes([*range(0x00, 0x09), *range(0x0B, 0x20), 0x7F]), b" " * 31
+)
 
 
 def clean_text(raw: str) -> str:
     """Normalize a raw document text.
 
-    Strips control characters, drops boilerplate-matched lines, collapses
-    whitespace runs to single spaces, and preserves paragraph breaks as
-    blank lines. Idempotent.
+    After NFC normalization, CRLF and lone CR become newlines; then every
+    C0 control character other than tab and newline (U+0000-U+0008,
+    U+000B-U+001F) and DEL (U+007F) becomes a space. Boilerplate-matched
+    lines are dropped, whitespace runs collapse to single spaces, and
+    paragraph breaks are kept as blank lines. Idempotent.
+
+    The control map runs on the UTF-8 bytes: a byte below 0x80 never
+    occurs inside a multi-byte sequence, so one byte table is exact, and
+    it keeps non-ASCII text off str.translate's per-character dict
+    lookups. surrogatepass carries lone surrogates through unchanged.
     """
     text = unicodedata.normalize("NFC", raw)
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    text = text.translate(_CONTROL)
+    text = (
+        text.encode("utf-8", "surrogatepass")
+        .translate(_CONTROL)
+        .decode("utf-8", "surrogatepass")
+    )
 
     paragraphs: list[str] = []
     current: list[str] = []

@@ -8,11 +8,14 @@ so a fully cached manifest can be re-analyzed offline and reproducibly.
 
 A hit also needs the .meta's source URL, when it names one, to be the
 URL the current base URL gives, so a cache filled from a mirror or a stub
-is fetched again rather than served as EUR-Lex.
+is fetched again rather than served as EUR-Lex. Its .txt and .meta are
+removed before that request, so a failed refetch leaves no text behind.
 
 Politeness defaults: one request at a time, 1000 ms between request
 starts, 3 retries with exponential backoff, and an identifying
-user-agent; at most MAX_CONCURRENCY fetches ever overlap. The base URL
+user-agent. At most MAX_CONCURRENCY fetches ever overlap, and at most
+MAX_RETRIES (5) retries follow a failed request, so no backoff sleeps
+longer than 2**(MAX_RETRIES-1) times the delay. The base URL
 can be overridden, which is also how tests point the fetcher at a local
 stub server; it must be http:// or https:// with a host.
 
@@ -50,6 +53,7 @@ from .errors import LexgradeError, MalformedCelexError
 __all__ = [
     "DEFAULT_BASE_URL",
     "MAX_CONCURRENCY",
+    "MAX_RETRIES",
     "FetchSettings",
     "FetchStatus",
     "FetchResult",
@@ -63,6 +67,9 @@ DEFAULT_BASE_URL = "https://eur-lex.europa.eu"
 
 #: Upper bound on overlapping fetches (and so on fetch threads).
 MAX_CONCURRENCY = 8
+
+#: Upper bound on retries per document; each one doubles the backoff.
+MAX_RETRIES = 5
 
 _USER_AGENT = "lexgrade/0.1.0 (readability corpus fetcher)"
 
@@ -93,6 +100,10 @@ class FetchSettings:
         if self.concurrency > MAX_CONCURRENCY:
             raise LexgradeError(
                 f"concurrency must be at most {MAX_CONCURRENCY}, got {self.concurrency}"
+            )
+        if self.retries > MAX_RETRIES:
+            raise LexgradeError(
+                f"retries must be at most {MAX_RETRIES}, got {self.retries}"
             )
 
 
@@ -240,7 +251,8 @@ def fetch_document(
 
     A cache hit (both <id>.txt and <id>.meta present, and no string
     source_url in the .meta other than this base URL's) returns FromCache
-    with zero network activity. A miss performs one polite retrieval,
+    with zero network activity. A cache entry from another source URL is
+    deleted, text first. A miss performs one polite retrieval,
     extracts the text, and writes <id>.meta and then <id>.txt, each
     atomically, so an interrupted write never leaves a hit without its
     source. A page is decoded by the charset in its Content-Type, as UTF-8
@@ -269,6 +281,9 @@ def fetch_document(
                 text_path=text_path,
                 retrieved_at=meta.get("retrieved_at"),
             )
+        # Another source's text must not outlive a failed refetch.
+        text_path.unlink()
+        meta_path.unlink()
 
     url = celex_url(celex_id, settings.base_url)
     cache_dir.mkdir(parents=True, exist_ok=True)

@@ -137,7 +137,7 @@ def count_syllables(word: str) -> int:
     """
     total = 0
     for part in word.split("-"):
-        content = "".join(ch for ch in part.lower() if ch.isalpha())
+        content = "".join(filter(str.isalpha, part.lower()))
         if not content:
             continue
         runs = 0
@@ -164,8 +164,8 @@ def count_syllables(word: str) -> int:
 @lru_cache(maxsize=1 << 16)
 def _classify(token: str) -> tuple[bool, int, int, int]:
     """(ends_sentence, alnum, letters, syllables) of a token; 0 syllables if not a word."""
-    alnum = sum(ch.isalnum() for ch in token)
-    letters = sum(ch.isalpha() for ch in token)
+    alnum = sum(map(str.isalnum, token))
+    letters = sum(map(str.isalpha, token))
     return _ends_sentence(token), alnum, letters, alnum and count_syllables(token)
 
 

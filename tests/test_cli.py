@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from lexgrade.cli import ANALYZE_COLUMNS, main
-from lexgrade.fetcher import MAX_CONCURRENCY
+from lexgrade.fetcher import MAX_CONCURRENCY, MAX_RETRIES
 
 MANIFEST = """id,doc_type,year,title,domain,source
 doc1,Regulation,1995,First,GeneralRules,doc1.txt
@@ -114,6 +114,18 @@ class TestAnalyze:
             "--out", str(corpus / "r.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nonascii_corpus_pinned(self, data_dir, tmp_path, fmt):
+        # EUR-Lex-style texts with curly quotes, accents, euro signs, NBSP,
+        # U+2028, stray control bytes, CR and CRLF line ends and mastheads.
+        corpus = data_dir / "nonascii"
+        out = tmp_path / f"results.{fmt}"
+        assert main([
+            "analyze", "--manifest", str(corpus / "manifest.csv"),
+            "--texts", str(corpus / "texts"), "--out", str(out), "--format", fmt,
+        ]) == 0
+        assert out.read_bytes() == (corpus / f"results.{fmt}").read_bytes()
 
     def test_csv_json_parity(self, corpus):
         csv_out = corpus / "results.csv"
@@ -472,6 +484,23 @@ class TestFetchCommand:
         assert stub_repo.requests == []
         assert not (corpus / "cache").exists()
 
+    def test_retries_above_cap_is_config_error(self, corpus, stub_repo, capsys):
+        stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
+        manifest = corpus / "fetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n",
+            encoding="utf-8",
+        )
+        assert main([
+            "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
+            "--base-url", stub_repo.base_url, "--delay-ms", "0",
+            "--retries", str(MAX_RETRIES + 1),
+        ]) == 2
+        assert f"got {MAX_RETRIES + 1}" in capsys.readouterr().err
+        assert stub_repo.requests == []
+        assert not (corpus / "cache").exists()
+
     def test_base_url_without_scheme_is_config_error(self, corpus, monkeypatch, capsys):
         manifest = corpus / "fetch_manifest.csv"
         manifest.write_text(
@@ -565,3 +594,33 @@ class TestEndToEnd:
 
         assert len(stub_repo.requests) == network_calls
         assert artifacts[1] == artifacts[2]
+
+    def test_failed_refetch_is_not_graded(self, corpus, stub_repo, mirror_repo, capsys):
+        page = "<p>The court heard the case. It ruled.</p>"
+        mirror_repo.pages.update({"31995L0046": page, "32016R0679": page})
+        stub_repo.pages["31995L0046"] = page
+        manifest = corpus / "refetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n"
+            "32016R0679,Regulation,2016,GDPR,PersonalDataPrivacy,32016R0679\n",
+            encoding="utf-8",
+        )
+        cache = corpus / "cache"
+
+        def fetch(repo):
+            return main([
+                "fetch", "--manifest", str(manifest), "--cache", str(cache),
+                "--base-url", repo.base_url, "--delay-ms", "0",
+            ])
+
+        assert fetch(mirror_repo) == 0
+        assert fetch(stub_repo) == 1  # 32016R0679 now answers 404
+        results = corpus / "results.csv"
+        capsys.readouterr()
+        assert main([
+            "analyze", "--manifest", str(manifest),
+            "--cache", str(cache), "--out", str(results),
+        ]) == 1
+        assert "FAIL 32016R0679" in capsys.readouterr().err
+        assert [row["id"] for row in read_csv_rows(results)] == ["31995L0046"]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,9 @@ from lexgrade.errors import (
 from lexgrade.indices import grade_all
 from lexgrade.segmenter import compute_metrics
 from lexgrade.stats import corpus_statistics, cronbach_alpha, per_year_aggregate
+
+sys.path.insert(0, str(Path(__file__).parent))
+import corpus_reference as reference  # noqa: E402
 
 
 def record(doc_id="32016R0679", doc_type=DocType.REGULATION, year=2016,
@@ -161,6 +166,37 @@ class TestCleanText:
 
     def test_paragraph_breaks_preserved(self):
         assert clean_text("One.\n\nTwo.") == "One.\n\nTwo."
+
+
+# Every control character, CR/LF pairs, masthead lines and surrogates,
+# mixed with arbitrary code points.
+_CONTROL_PIECES = [chr(c) for c in (*range(32), 127)] + [
+    "\r\n", "\u2028", "\xa0", "\x85", "EN", "L 119/1", "4.5.2016 EN",
+    "Official Journal of the European Union", "\ud83d", "\ude00", "e\u0301",
+]
+_raw_texts = st.lists(
+    st.one_of(
+        st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()),
+        st.sampled_from(_CONTROL_PIECES),
+        st.text(max_size=8),
+    ),
+    max_size=60,
+).map("".join)
+
+
+class TestCleanTextReference:
+    """clean_text against the per-character dict map of corpus_reference."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_raw_texts)
+    def test_matches_reference(self, raw):
+        assert clean_text(raw) == reference.clean_text(raw)
+
+    def test_every_code_point(self):
+        # CR is left out, so U+000A is the one line break; the Hypothesis
+        # test above covers CR and CRLF.
+        raw = "".join(chr(c) for c in range(0x110000) if c != 0x0D)
+        assert clean_text(raw) == reference.clean_text(raw)
 
 
 class TestAnalyzeDocument:

@@ -10,6 +10,7 @@ from lexgrade.corpus import DocType, Domain, DocumentRecord
 from lexgrade.errors import LexgradeError, MalformedCelexError
 from lexgrade.fetcher import (
     MAX_CONCURRENCY,
+    MAX_RETRIES,
     FetchSettings,
     FetchStatus,
     celex_url,
@@ -249,6 +250,20 @@ class TestFetchDocument:
         assert len(stub_repo.requests) == 1
         assert len(mirror_repo.requests) == 1
 
+    @pytest.mark.parametrize("answer", [404, 503])
+    def test_failed_refetch_from_other_base_url_leaves_no_cache(
+        self, stub_repo, mirror_repo, tmp_path, answer
+    ):
+        mirror_repo.pages["32016R0679"] = "<p>Mirror copy.</p>"
+        stub_repo.pages["32016R0679"] = answer
+        mirrored = fetch_document("32016R0679", tmp_path, settings(mirror_repo))
+        assert mirrored.status is FetchStatus.FETCHED_FRESH
+
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert not result.ok
+        assert not (tmp_path / "32016R0679.txt").exists()
+        assert not (tmp_path / "32016R0679.meta").exists()
+
     def test_text_path_present_iff_success(self, stub_repo, tmp_path):
         stub_repo.pages["32016R0679"] = GDPR_HTML
         cfg = settings(stub_repo)
@@ -334,3 +349,8 @@ class TestFetchAll:
         assert FetchSettings(concurrency=MAX_CONCURRENCY).concurrency == MAX_CONCURRENCY
         with pytest.raises(LexgradeError, match="at most"):
             FetchSettings(concurrency=MAX_CONCURRENCY + 1)
+
+    def test_retries_above_cap_rejected(self):
+        assert FetchSettings(retries=MAX_RETRIES).retries == MAX_RETRIES
+        with pytest.raises(LexgradeError, match=f"at most {MAX_RETRIES}, got 6"):
+            FetchSettings(retries=MAX_RETRIES + 1)
