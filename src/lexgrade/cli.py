@@ -36,7 +36,6 @@ from .errors import (
     ManifestError,
     ResultsFormatError,
 )
-from .fetcher import DEFAULT_BASE_URL, FetchSettings, fetch_all
 from .indices import GRADE_FIELDS, LINSEAR_MODES, GradeVector
 from .stats import QUANTILE_CONVENTION, corpus_statistics, per_year_aggregate
 
@@ -81,7 +80,7 @@ _CONVERTERS = tuple(
 )
 
 
-def _env(name: str, fallback: str) -> str:
+def _env(name: str, fallback: str | None) -> str | None:
     return os.environ.get(f"LEXGRADE_{name}", fallback)
 
 
@@ -96,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fetch = sub.add_parser("fetch", help="download manifest documents into a cache")
     fetch.add_argument("--manifest", required=True)
     fetch.add_argument("--cache", required=True)
-    fetch.add_argument("--base-url", default=_env("BASE_URL", DEFAULT_BASE_URL))
+    fetch.add_argument("--base-url", default=_env("BASE_URL", None))
     fetch.add_argument("--delay-ms", default=_env("DELAY_MS", "1000"))
     fetch.add_argument("--concurrency", default=_env("CONCURRENCY", "1"))
     fetch.add_argument("--retries", default=_env("RETRIES", "3"))
@@ -144,9 +143,12 @@ def _int_setting(name: str, value: str) -> int:
 
 
 def _run_fetch(args: argparse.Namespace) -> int:
+    # Imported here so analyze, stats and report never load the network stack.
+    from .fetcher import DEFAULT_BASE_URL, FetchSettings, fetch_all
+
     records = load_manifest(args.manifest)
     settings = FetchSettings(
-        base_url=args.base_url,
+        base_url=DEFAULT_BASE_URL if args.base_url is None else args.base_url,
         delay_ms=_int_setting("--delay-ms", args.delay_ms),
         concurrency=max(1, _int_setting("--concurrency", args.concurrency)),
         retries=_int_setting("--retries", args.retries),
@@ -258,16 +260,20 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
         meta = {}
         data_lines: list[str] = []
         line_numbers: list[int] = []
-        with open(p, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.rstrip("\n")
-                if stripped.startswith("#"):
-                    key, colon, value = stripped.lstrip("#").strip().partition(":")
-                    if colon:
-                        meta[key.strip()] = value.strip()
-                elif stripped:
-                    data_lines.append(stripped)
-                    line_numbers.append(lineno)
+        try:
+            with open(p, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    stripped = line.rstrip("\n")
+                    if stripped.startswith("#"):
+                        key, colon, value = stripped.lstrip("#").strip().partition(":")
+                        if colon:
+                            meta[key.strip()] = value.strip()
+                    elif stripped:
+                        data_lines.append(stripped)
+                        line_numbers.append(lineno)
+        except UnicodeDecodeError as exc:
+            # exc.start counts within a decoded chunk, not the file: name no offset.
+            raise ResultsFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         # One reader for all lines: a record starts where the last one ended.
         reader = csv.reader(data_lines)
         unit, rows, numbers = "line", [], []

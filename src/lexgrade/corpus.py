@@ -11,6 +11,7 @@ the manifest length.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import unicodedata
@@ -155,31 +156,35 @@ def load_manifest(path: str | Path) -> list[DocumentRecord]:
     """
     path = Path(path)
     suffix = path.suffix.lower()
+    if suffix not in (".csv", ".json"):
+        raise ManifestError(f"{path}: unsupported manifest format '{suffix}'")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     records: list[DocumentRecord] = []
     seen: set[str] = set()
 
     if suffix == ".csv":
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ManifestError(f"{path}: empty manifest")
-            if sorted(reader.fieldnames) != sorted(MANIFEST_FIELDS):
-                raise ManifestError(
-                    f"{path}: header must be exactly {', '.join(MANIFEST_FIELDS)}"
-                    f" (got {', '.join(reader.fieldnames)})"
-                )
-            for i, raw in enumerate(reader, start=2):
-                if None in raw or None in raw.values():
-                    raise ManifestError(f"{path} row {i}: wrong number of fields")
-                record = _parse_record(raw, f"{path} row {i}", seen)
-                seen.add(record.id)
-                records.append(record)
-    elif suffix == ".json":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        if reader.fieldnames is None:
+            raise ManifestError(f"{path}: empty manifest")
+        if sorted(reader.fieldnames) != sorted(MANIFEST_FIELDS):
+            raise ManifestError(
+                f"{path}: header must be exactly {', '.join(MANIFEST_FIELDS)}"
+                f" (got {', '.join(reader.fieldnames)})"
+            )
+        for i, raw in enumerate(reader, start=2):
+            if None in raw or None in raw.values():
+                raise ManifestError(f"{path} row {i}: wrong number of fields")
+            record = _parse_record(raw, f"{path} row {i}", seen)
+            seen.add(record.id)
+            records.append(record)
+    else:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, list):
             raise ManifestError(f"{path}: expected a JSON list of objects")
         for i, raw in enumerate(data, start=1):
@@ -188,8 +193,6 @@ def load_manifest(path: str | Path) -> list[DocumentRecord]:
             record = _parse_record(raw, f"{path} entry {i}", seen)
             seen.add(record.id)
             records.append(record)
-    else:
-        raise ManifestError(f"{path}: unsupported manifest format '{suffix}'")
 
     return records
 

@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
 
+from . import __version__
 from .corpus import DocumentRecord
 from .errors import LexgradeError, MalformedCelexError
 
@@ -71,7 +72,7 @@ MAX_CONCURRENCY = 8
 #: Upper bound on retries per document; each one doubles the backoff.
 MAX_RETRIES = 5
 
-_USER_AGENT = "lexgrade/0.1.0 (readability corpus fetcher)"
+_USER_AGENT = f"lexgrade/{__version__} (readability corpus fetcher)"
 
 # sector digit, 4-digit year, 1-2 type letters, document number
 _CELEX = re.compile(r"^[0-9]\d{4}[A-Z]{1,2}\d{1,5}$")
@@ -249,7 +250,8 @@ def fetch_document(
 ) -> FetchResult:
     """Fetch one document into the cache, or serve it from there.
 
-    A cache hit (both <id>.txt and <id>.meta present, and no string
+    A malformed CELEX id raises MalformedCelexError before the cache is
+    read. A cache hit (both <id>.txt and <id>.meta present, and no string
     source_url in the .meta other than this base URL's) returns FromCache
     with zero network activity. A cache entry from another source URL is
     deleted, text first. A miss performs one polite retrieval,
@@ -260,6 +262,7 @@ def fetch_document(
     any other 4xx but 429 yields TransportError at once, any other status
     but 200 or a failed transport after the configured retries.
     """
+    url = celex_url(celex_id, settings.base_url)
     cache_dir = Path(cache_dir)
     text_path = cache_dir / f"{celex_id}.txt"
     meta_path = cache_dir / f"{celex_id}.meta"
@@ -272,9 +275,7 @@ def fetch_document(
         if not isinstance(meta, dict):
             meta = {}
         source_url = meta.get("source_url")
-        if not isinstance(source_url, str) or source_url == celex_url(
-            celex_id, settings.base_url
-        ):
+        if not isinstance(source_url, str) or source_url == url:
             return FetchResult(
                 id=celex_id,
                 status=FetchStatus.FROM_CACHE,
@@ -285,7 +286,6 @@ def fetch_document(
         text_path.unlink()
         meta_path.unlink()
 
-    url = celex_url(celex_id, settings.base_url)
     cache_dir.mkdir(parents=True, exist_ok=True)
     limiter = _limiter or _RateLimiter(settings.delay_ms / 1000.0)
     request = urllib.request.Request(url, headers={"User-Agent": settings.user_agent})

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from lexgrade.cli import ANALYZE_COLUMNS, main
-from lexgrade.fetcher import MAX_CONCURRENCY, MAX_RETRIES
+from lexgrade.fetcher import DEFAULT_BASE_URL, MAX_CONCURRENCY, MAX_RETRIES
 
 MANIFEST = """id,doc_type,year,title,domain,source
 doc1,Regulation,1995,First,GeneralRules,doc1.txt
@@ -106,7 +106,7 @@ class TestAnalyze:
                 if column != "g5_linsear":
                     assert w_row[column] == c_row[column]
 
-    def test_missing_manifest_is_config_error(self, corpus):
+    def test_missing_manifest_is_config_error(self, corpus, capsys):
         code = main([
             "analyze",
             "--manifest", str(corpus / "nope.csv"),
@@ -114,6 +114,18 @@ class TestAnalyze:
             "--out", str(corpus / "r.csv"),
         ])
         assert code == 2
+        # A manifest that is not UTF-8 is an input error too, not a failed document.
+        latin1_csv = corpus / "latin1.csv"
+        latin1_csv.write_bytes(MANIFEST.replace("First", "Premi\xe8re").encode("latin-1"))
+        latin1_json = corpus / "latin1.json"
+        latin1_json.write_bytes(b'[{"id": "doc1", "title": "\xff"}]')
+        for manifest in (latin1_csv, latin1_json):
+            assert main([
+                "analyze", "--manifest", str(manifest),
+                "--texts", str(corpus / "texts"), "--out", str(corpus / "r.csv"),
+            ]) == 2
+            assert f"{manifest}: not UTF-8 text" in capsys.readouterr().err
+        assert not (corpus / "r.csv").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_nonascii_corpus_pinned(self, data_dir, tmp_path, fmt):
@@ -224,15 +236,27 @@ class TestStats:
         content = out.read_text(encoding="utf-8")
         assert "n < 2" in content
 
-    def test_truncated_csv_is_format_error(self, corpus, tmp_path):
+    def test_truncated_csv_is_format_error(self, corpus, tmp_path, capsys):
         results = _run_analyze(corpus)
         lines = results.read_text(encoding="utf-8").splitlines()
         lines[-1] = lines[-1].rsplit(",", 3)[0]  # cut fields off the last row
         broken = tmp_path / "broken.csv"
         broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main([
-            "stats", "--results", str(broken), "--out", str(tmp_path / "s.csv"),
-        ]) == 2
+        # A byte that is not UTF-8 in a row: an input error naming the file.
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(results.read_bytes().replace(b"doc2,", b"doc\xe9,"))
+        expected = {
+            broken: f"{broken} line ",
+            latin1: f"{latin1}: not UTF-8 text",
+        }
+        for results_file, message in expected.items():
+            for command in ("stats", "report"):
+                assert main([
+                    command, "--results", str(results_file),
+                    "--out", str(tmp_path / "s.csv"),
+                ]) == 2
+                assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -474,7 +498,7 @@ class TestFetchCommand:
         def no_fetch(*args, **kwargs):
             raise AssertionError("fetch_all must not start")
 
-        monkeypatch.setattr("lexgrade.cli.fetch_all", no_fetch)
+        monkeypatch.setattr("lexgrade.fetcher.fetch_all", no_fetch)
         assert main([
             "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
             "--base-url", stub_repo.base_url, "--delay-ms", "0",
@@ -512,7 +536,7 @@ class TestFetchCommand:
         def no_fetch(*args, **kwargs):
             raise AssertionError("fetch_all must not start")
 
-        monkeypatch.setattr("lexgrade.cli.fetch_all", no_fetch)
+        monkeypatch.setattr("lexgrade.fetcher.fetch_all", no_fetch)
         assert main([
             "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
             "--base-url", "eur-lex.europa.eu",
@@ -520,15 +544,61 @@ class TestFetchCommand:
         assert "'eur-lex.europa.eu'" in capsys.readouterr().err
         assert not (corpus / "cache").exists()
 
-    def test_import_does_not_load_requests(self):
+    def test_import_does_not_load_requests(self, corpus):
+        # analyze, stats and report run offline: none loads the network stack.
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
+        script = """
+import sys
+import lexgrade.cli
+d = sys.argv[1]
+for argv in (
+    ["analyze", "--manifest", d + "/manifest.csv", "--texts", d + "/texts",
+     "--out", d + "/r.csv"],
+    ["stats", "--results", d + "/r.csv", "--out", d + "/s.csv"],
+    ["report", "--results", d + "/r.csv", "--out", d + "/y.csv"],
+):
+    assert lexgrade.cli.main(argv) == 0, argv
+network = {"requests", "lexgrade.fetcher", "ssl", "urllib.request", "http.client"}
+print(sorted(network & set(sys.modules)))
+"""
         out = subprocess.run(
-            [sys.executable, "-c",
-             "import lexgrade.cli, sys; print('requests' in sys.modules)"],
+            [sys.executable, "-c", script, str(corpus)],
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
+        assert (corpus / "y.csv").exists()
+
+    def test_default_base_url(self, corpus, monkeypatch):
+        # MANIFEST's ids are no CELEX ids: even unpatched, no request would leave.
+        monkeypatch.delenv("LEXGRADE_BASE_URL", raising=False)
+        seen = []
+        monkeypatch.setattr(
+            "lexgrade.fetcher.fetch_all",
+            lambda records, cache, settings: seen.append(settings) or [],
+        )
+        assert main([
+            "fetch", "--manifest", str(corpus / "manifest.csv"),
+            "--cache", str(corpus / "cache"),
+        ]) == 0
+        assert [settings.base_url for settings in seen] == [DEFAULT_BASE_URL]
+
+    @pytest.mark.parametrize("flag, env", [(["--base-url", ""], None), ([], "")])
+    def test_empty_base_url_is_config_error(self, corpus, monkeypatch, capsys, flag, env):
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("fetch_all must not start")
+
+        monkeypatch.setattr("lexgrade.fetcher.fetch_all", no_fetch)
+        if env is None:
+            monkeypatch.delenv("LEXGRADE_BASE_URL", raising=False)
+        else:
+            monkeypatch.setenv("LEXGRADE_BASE_URL", env)
+        assert main([
+            "fetch", "--manifest", str(corpus / "manifest.csv"),
+            "--cache", str(corpus / "cache"), *flag,
+        ]) == 2
+        assert "base URL must be" in capsys.readouterr().err
+        assert not (corpus / "cache").exists()
 
     def test_env_override_base_url(self, corpus, stub_repo, monkeypatch):
         stub_repo.pages["31995L0046"] = "<p>Doc.</p>"

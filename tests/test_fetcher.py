@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+import lexgrade
 from conftest import Reply
 from lexgrade.corpus import DocType, Domain, DocumentRecord
 from lexgrade.errors import LexgradeError, MalformedCelexError
@@ -297,6 +299,16 @@ class TestFetchAll:
         assert results[0].status is FetchStatus.TRANSPORT_ERROR
         assert "CELEX" in results[0].detail
 
+        # A cached pair does not make a malformed id a hit.
+        cached = {tmp_path / "foo.txt": "cached text", tmp_path / "foo.meta": "{}"}
+        for path, content in cached.items():
+            path.write_text(content, encoding="utf-8")
+        results = fetch_all([record("foo")], tmp_path, settings(stub_repo))
+        assert results[0].status is FetchStatus.TRANSPORT_ERROR
+        assert "CELEX" in results[0].detail
+        assert {p: p.read_text(encoding="utf-8") for p in cached} == cached
+        assert stub_repo.requests == []
+
     def test_cache_idempotence(self, stub_repo, tmp_path):
         stub_repo.pages["31995L0046"] = "<p>Directive one.</p>"
         stub_repo.pages["32016R0679"] = GDPR_HTML
@@ -354,3 +366,11 @@ class TestFetchAll:
         assert FetchSettings(retries=MAX_RETRIES).retries == MAX_RETRIES
         with pytest.raises(LexgradeError, match=f"at most {MAX_RETRIES}, got 6"):
             FetchSettings(retries=MAX_RETRIES + 1)
+
+
+def test_one_version_string():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
+    assert version == lexgrade.__version__
+    assert FetchSettings().user_agent.startswith(f"lexgrade/{version} ")
