@@ -11,6 +11,16 @@ the same logical content. Result files are self-describing (tool
 version and linsear mode ride along as comment lines / a meta object)
 so downstream stats stay auditable. Diagnostics go to stderr only.
 
+A rerun replaces an existing regular --out file with a new file instead
+of truncating it: ext4 (auto_da_alloc) flushes a truncated file to disk
+on close, tens of milliseconds, and a new file is not flushed. The new
+file's mode follows the umask; other hard links to the old file keep the
+old bytes; a file the user may not write is not replaced, so writing it
+fails as before. Symlinks (/dev/stdout among them), FIFOs and other
+special files are written through. A crash loses no more than truncation
+would. When analyze can grade no document, it still writes the header
+with no rows, so no earlier run's rows survive in --out.
+
 Exit codes: 0 success, 1 some documents failed, 2 configuration or
 input-format errors. Network settings honour environment overrides
 (LEXGRADE_BASE_URL, LEXGRADE_DELAY_MS, LEXGRADE_CONCURRENCY,
@@ -24,6 +34,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -189,12 +200,19 @@ def _grade_row(row) -> dict:
     }
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write an --out file, replacing an existing regular file (module docstring)."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK):
+            os.unlink(path)
+    except OSError:
+        pass  # absent, or not ours to unlink: the write below decides
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def _write_table(path: str, fmt: str, meta: dict, columns, rows: list[dict]) -> None:
     if fmt == "json":
-        payload = {"meta": meta, "rows": rows}
-        Path(path).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_out(path, json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n")
         return
     buffer = io.StringIO()
     for key, value in meta.items():
@@ -203,7 +221,7 @@ def _write_table(path: str, fmt: str, meta: dict, columns, rows: list[dict]) -> 
     writer.writerow(columns)
     for row in rows:
         writer.writerow([row[c] for c in columns])
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+    _write_out(path, buffer.getvalue())
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
@@ -212,15 +230,18 @@ def _run_analyze(args: argparse.Namespace) -> int:
     if not Path(texts_dir).is_dir():
         raise ManifestError(f"texts directory '{texts_dir}' does not exist")
 
+    meta = {"lexgrade_version": __version__, "linsear_mode": args.linsear_mode}
     try:
         report = analyze_corpus(
             records, directory_resolver(texts_dir), mode=args.linsear_mode
         )
     except CorpusAnalysisError as exc:
+        # A header with no rows, so stats and report refuse this run's output
+        # instead of reading an earlier run's.
+        _write_table(args.out, args.format, meta, ANALYZE_COLUMNS, [])
         _fail(str(exc))
         return 1
 
-    meta = {"lexgrade_version": __version__, "linsear_mode": args.linsear_mode}
     rows = [_grade_row(r) for r in report.rows]
     _write_table(args.out, args.format, meta, ANALYZE_COLUMNS, rows)
 
@@ -350,9 +371,7 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
 
 def _write_stats(path: str, fmt: str, payload: dict) -> None:
     if fmt == "json":
-        Path(path).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_out(path, json.dumps(payload, indent=2) + "\n")
         return
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -373,7 +392,7 @@ def _write_stats(path: str, fmt: str, payload: dict) -> None:
         writer.writerow(("alpha", "fk_smog_ari", "", payload["alpha"]))
     if payload["alpha_note"]:
         writer.writerow(("note", "alpha", "", payload["alpha_note"]))
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+    _write_out(path, buffer.getvalue())
 
 
 def _run_stats(args: argparse.Namespace) -> int:

@@ -25,12 +25,12 @@ environment variables are honoured by urllib's ProxyHandler. TLS checks
 certificates against the system CA store (SSL_CERT_FILE overrides it).
 Every request carries http.client's Accept-Encoding: identity, so pages
 arrive uncompressed, and opens its own connection: keep-alive is not
-attempted.
+attempted. urllib.request, http.client and ssl are imported only when a
+document misses the cache, so a fully cached fetch loads no network stack.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
@@ -38,7 +38,6 @@ import tempfile
 import threading
 import time
 import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -285,6 +284,11 @@ def fetch_document(
         # Another source's text must not outlive a failed refetch.
         text_path.unlink()
         meta_path.unlink()
+
+    # Imported past the cache hit: together with ssl they are most of this
+    # module's import time, and a hit makes no request.
+    import http.client
+    import urllib.request
 
     cache_dir.mkdir(parents=True, exist_ok=True)
     limiter = _limiter or _RateLimiter(settings.delay_ms / 1000.0)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from lexgrade import __version__
 from lexgrade.cli import ANALYZE_COLUMNS, main
 from lexgrade.fetcher import DEFAULT_BASE_URL, MAX_CONCURRENCY, MAX_RETRIES
 
@@ -441,6 +442,110 @@ class TestReport:
         assert [row["year"] for row in payload["rows"]] == [1995, 2016]
 
 
+def _command(corpus, command: str, fmt: str, out: Path) -> list[str]:
+    if command == "analyze":
+        inputs = [
+            "--manifest", str(corpus / "manifest.csv"), "--texts", str(corpus / "texts"),
+        ]
+    else:
+        inputs = ["--results", str(_run_analyze(corpus))]
+    return [command, *inputs, "--out", str(out), "--format", fmt]
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["analyze", "stats", "report"])
+    def test_rerun_replaces_longer_file(self, corpus, command, fmt):
+        fresh = corpus / f"fresh.{fmt}"
+        assert main(_command(corpus, command, fmt, fresh)) == 0
+        out = corpus / f"out.{fmt}"
+        old = fresh.read_bytes() + b"stale,row\n" * 1000
+        out.write_bytes(old)
+        linked = corpus / "linked"
+        os.link(out, linked)
+        assert main(_command(corpus, command, fmt, out)) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        # A new file, not the old one rewritten: another link keeps the old bytes.
+        assert linked.read_bytes() == old
+
+    def test_symlink_out_writes_its_target(self, corpus):
+        fresh = corpus / "fresh.csv"
+        assert main(_command(corpus, "report", "csv", fresh)) == 0
+        target = corpus / "target.csv"
+        target.write_bytes(fresh.read_bytes() + b"stale,row\n" * 1000)
+        link = corpus / "link.csv"
+        link.symlink_to(target)
+        assert main(_command(corpus, "report", "csv", link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_report_to_stdout(self, corpus):
+        # /dev/fd/1 resolves to /proc/self/fd/1, as /dev/stdout does. A
+        # regressed --out writer run as root could unlink /dev/stdout itself,
+        # but not an entry under /proc.
+        fresh = corpus / "fresh.csv"
+        argv = _command(corpus, "report", "csv", fresh)
+        assert main(argv) == 0
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-m", "lexgrade.cli", *argv[:-4], "--out", "/dev/fd/1"],
+            env=env, capture_output=True, timeout=60, check=True,
+        )
+        assert out.stdout == fresh.read_bytes()
+
+    @pytest.mark.parametrize("command", ["analyze", "stats", "report"])
+    def test_directory_out_is_config_error(self, corpus, capsys, command):
+        out = corpus / "outdir"
+        out.mkdir()
+        assert main(_command(corpus, command, "csv", out)) == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.is_dir()
+
+    def test_unwritable_file_is_not_unlinked(self, corpus, monkeypatch):
+        # A write-protected --out fails as before instead of being replaced;
+        # root may write any file, so the permission check is stubbed here.
+        out = corpus / "out.csv"
+        out.write_text("old\n", encoding="utf-8")
+        linked = corpus / "linked"
+        os.link(out, linked)
+        argv = _command(corpus, "report", "csv", out)
+        monkeypatch.setattr("lexgrade.cli.os.access", lambda path, mode: False)
+        assert main(argv) == 0
+        # Written in place: the other link sees the new bytes too.
+        assert out.read_text(encoding="utf-8").startswith("# lexgrade_version")
+        assert linked.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_analyze_leaves_no_old_rows(self, data_dir, tmp_path, capsys, fmt):
+        nonascii = data_dir / "nonascii"
+        out = tmp_path / f"results.{fmt}"
+        out.write_bytes((nonascii / f"results.{fmt}").read_bytes())
+        (tmp_path / "empty").mkdir()
+        assert main([
+            "analyze", "--manifest", str(nonascii / "manifest.csv"),
+            "--texts", str(tmp_path / "empty"), "--out", str(out), "--format", fmt,
+        ]) == 1
+        assert "no document could be analyzed" in capsys.readouterr().err
+        text = out.read_text(encoding="utf-8")
+        if fmt == "json":
+            assert json.loads(text) == {
+                "meta": {"lexgrade_version": __version__, "linsear_mode": "windowed"},
+                "rows": [],
+            }
+        else:
+            assert text == (
+                f"# lexgrade_version: {__version__}\n# linsear_mode: windowed\n"
+                + ",".join(ANALYZE_COLUMNS) + "\n"
+            )
+        for command in ("stats", "report"):
+            assert main([
+                command, "--results", str(out), "--out", str(tmp_path / "o.csv"),
+            ]) == 2
+            assert f"{out}: no result rows" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+
 class TestFetchCommand:
     def test_fetch_then_cached_rerun(self, corpus, stub_repo, capsys):
         for doc_id in ("31995L0046", "32016R0679"):
@@ -568,6 +673,39 @@ print(sorted(network & set(sys.modules)))
         )
         assert out.stdout.strip() == "[]"
         assert (corpus / "y.csv").exists()
+
+    def test_warm_fetch_loads_no_network_stack(self, corpus, stub_repo):
+        # A fetch whose every document is a cache hit makes no request, and
+        # imports nothing that only a request needs.
+        stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
+        manifest = corpus / "fetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n",
+            encoding="utf-8",
+        )
+        argv = [
+            "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
+            "--base-url", stub_repo.base_url, "--delay-ms", "0",
+        ]
+        assert main(argv) == 0
+        requests = len(stub_repo.requests)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = """
+import json
+import sys
+import lexgrade.cli
+assert lexgrade.cli.main(json.loads(sys.argv[1])) == 0
+print(sorted({"ssl", "urllib.request", "http.client"} & set(sys.modules)))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+        assert "0 fresh, 1 cached, 0 failed" in out.stderr
+        assert len(stub_repo.requests) == requests
 
     def test_default_base_url(self, corpus, monkeypatch):
         # MANIFEST's ids are no CELEX ids: even unpatched, no request would leave.
