@@ -37,6 +37,8 @@ import os
 import stat
 import sys
 from dataclasses import asdict
+from itertools import repeat
+from operator import methodcaller
 from pathlib import Path
 
 from . import __version__
@@ -66,25 +68,32 @@ ANALYZE_COLUMNS = (
     *GRADE_FIELDS,
     "sum_variable",
 )
+_WIDTH = len(ANALYZE_COLUMNS)
+_COLUMN_SET = frozenset(ANALYZE_COLUMNS)
 
 
-def _integers(cells) -> list[int]:
-    # int() would read a JSON true as 1 and 7.5 as 7: only ints and text pass.
-    if not set(map(type, cells)) <= {int, str}:
+def _texts(cells, from_json: bool) -> list:
+    return list(cells)
+
+
+def _integers(cells, from_json: bool) -> list[int]:
+    # int() would read a JSON true as 1 and 7.5 as 7: only ints and text
+    # pass. CSV cells are all text and skip this scan.
+    if from_json and not set(map(type, cells)) <= {int, str}:
         raise ValueError("not an integer")
     return list(map(int, cells))
 
 
-def _floats(cells) -> list[float]:
+def _floats(cells, from_json: bool) -> list[float]:
     # float() would read a JSON true as 1.0.
-    if bool in set(map(type, cells)):
+    if from_json and bool in set(map(type, cells)):
         raise ValueError("not a number")
     return list(map(float, cells))
 
 
 #: Per ANALYZE_COLUMNS entry, what turns that column's cells into typed values.
 _CONVERTERS = tuple(
-    list if column in ("id", "doc_type", "domain")
+    _texts if column in ("id", "doc_type", "domain")
     else _floats if column == "sum_variable"
     else _integers
     for column in ANALYZE_COLUMNS
@@ -254,14 +263,94 @@ def _run_analyze(args: argparse.Namespace) -> int:
     return 1 if report.failures else 0
 
 
+def _check_header(path: str, header) -> None:
+    if header is None:
+        raise ResultsFormatError(f"{path}: no header row")
+    if tuple(header) != ANALYZE_COLUMNS:
+        raise ResultsFormatError(f"{path}: header does not match an analyze results file")
+
+
+def _field_count_error(path: str, number: int, count: int) -> ResultsFormatError:
+    return ResultsFormatError(
+        f"{path} line {number}: expected {_WIDTH} fields, got {count}"
+    )
+
+
+def _csv_cells(path: str, text: str) -> tuple[dict, list, list[int]]:
+    """Meta, the cells of each column and each row's line number, from CSV text."""
+    lines = text.split("\n")
+    meta = {}
+    for line in filter(methodcaller("startswith", "#"), lines):
+        key, colon, value = line.lstrip("#").strip().partition(":")
+        if colon:
+            meta[key.strip()] = value.strip()
+    line_numbers = [n for n, line in enumerate(lines, 1) if line and line[0] != "#"]
+    data = [lines[n - 1] for n in line_numbers]
+
+    if '"' in text or max(map(len, data), default=0) > csv.field_size_limit():
+        # A quoted field may hold commas and line breaks, and an over-long
+        # field is an error: both are csv.reader's to read.
+        return meta, *_csv_reader_cells(path, data, line_numbers)
+    _check_header(path, data[0].split(",") if data else None)
+    body = data[1:]
+    commas = list(map(str.count, body, repeat(",")))
+    if commas.count(_WIDTH - 1) != len(commas):
+        i = next(i for i, count in enumerate(commas) if count != _WIDTH - 1)
+        raise _field_count_error(path, line_numbers[i + 1], commas[i] + 1)
+    # Every row holds _WIDTH cells, so one split of the joined rows lays
+    # them out row after row.
+    cells = ",".join(body).split(",") if body else []
+    return meta, [cells[i::_WIDTH] for i in range(_WIDTH)], line_numbers[1:]
+
+
+def _csv_reader_cells(
+    path: str, data: list[str], line_numbers: list[int]
+) -> tuple[list, list[int]]:
+    # One reader for all lines: a record starts where the last one ended.
+    reader = csv.reader(data)
+    rows, numbers = [], []
+    try:
+        _check_header(path, next(reader, None))
+        start = reader.line_num
+        for fields in reader:
+            if len(fields) != _WIDTH:
+                raise _field_count_error(path, line_numbers[start], len(fields))
+            rows.append(fields)
+            numbers.append(line_numbers[start])
+            start = reader.line_num
+    except csv.Error as exc:
+        raise ResultsFormatError(
+            f"{path} line {line_numbers[reader.line_num - 1]}: {exc}"
+        ) from None
+    return list(zip(*rows)), numbers
+
+
 def _read_results(path: str) -> tuple[dict, dict[str, list]]:
-    """Read an analyze results file (CSV or JSON): meta and one typed list per column."""
+    """Read an analyze results file (CSV or JSON): meta and one typed list per column.
+
+    CSV: `# key: value` lines anywhere are meta, blank lines are skipped,
+    and every other line is a header or row in csv's default dialect,
+    within csv.field_size_limit(). A file with no `"` and no over-long
+    line is split on commas in one pass; others go through csv.reader,
+    since analyze quotes an id that holds a comma or quote. Both give the
+    same cells and the same errors. JSON: an object with a 'meta' object
+    and a 'rows' list of objects keyed by ANALYZE_COLUMNS.
+
+    Every row is checked: cell types, 4-digit years and the columns that
+    analyze derives from others. Errors name the file and the line (CSV)
+    or row (JSON) of the first bad cell.
+    """
     p = Path(path)
     if not p.exists():
         raise ResultsFormatError(f"results file '{path}' does not exist")
-    if p.suffix.lower() == ".json":
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ResultsFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    from_json = p.suffix.lower() == ".json"
+    if from_json:
         try:
-            payload = json.loads(p.read_text(encoding="utf-8"))
+            payload = json.loads(text)
         except ValueError as exc:
             raise ResultsFormatError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(payload, dict) or "rows" not in payload:
@@ -273,67 +362,27 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
             raise ResultsFormatError(f"{path}: 'rows' must be a list")
         rows = []
         for number, raw in enumerate(payload["rows"], start=1):
-            if not isinstance(raw, dict) or raw.keys() != set(ANALYZE_COLUMNS):
+            if not isinstance(raw, dict) or raw.keys() != _COLUMN_SET:
                 raise ResultsFormatError(f"{path} row {number}: wrong columns")
             rows.append([raw[column] for column in ANALYZE_COLUMNS])
-        unit, numbers = "row", range(1, len(rows) + 1)
+        unit, cells, numbers = "row", list(zip(*rows)), range(1, len(rows) + 1)
     else:
-        meta = {}
-        data_lines: list[str] = []
-        line_numbers: list[int] = []
-        try:
-            with open(p, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    stripped = line.rstrip("\n")
-                    if stripped.startswith("#"):
-                        key, colon, value = stripped.lstrip("#").strip().partition(":")
-                        if colon:
-                            meta[key.strip()] = value.strip()
-                    elif stripped:
-                        data_lines.append(stripped)
-                        line_numbers.append(lineno)
-        except UnicodeDecodeError as exc:
-            # exc.start counts within a decoded chunk, not the file: name no offset.
-            raise ResultsFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        # One reader for all lines: a record starts where the last one ended.
-        reader = csv.reader(data_lines)
-        unit, rows, numbers = "line", [], []
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ResultsFormatError(f"{path}: no header row")
-            if tuple(header) != ANALYZE_COLUMNS:
-                raise ResultsFormatError(
-                    f"{path}: header does not match an analyze results file"
-                )
-            start = reader.line_num
-            for fields in reader:
-                if len(fields) != len(ANALYZE_COLUMNS):
-                    raise ResultsFormatError(
-                        f"{path} line {line_numbers[start]}: expected "
-                        f"{len(ANALYZE_COLUMNS)} fields, got {len(fields)}"
-                    )
-                rows.append(fields)
-                numbers.append(line_numbers[start])
-                start = reader.line_num
-        except csv.Error as exc:
-            raise ResultsFormatError(
-                f"{path} line {line_numbers[reader.line_num - 1]}: {exc}"
-            ) from None
+        meta, cells, numbers = _csv_cells(path, text)
+        unit = "line"
 
-    if not rows:
+    if not numbers:
         raise ResultsFormatError(f"{path}: no result rows")
     try:
         columns = {
-            column: convert(cells)
-            for column, convert, cells in zip(ANALYZE_COLUMNS, _CONVERTERS, zip(*rows))
+            column: convert(column_cells, from_json)
+            for column, convert, column_cells in zip(ANALYZE_COLUMNS, _CONVERTERS, cells)
         }
     except (TypeError, ValueError):
         # Name the first bad cell in file order.
-        for fields, number in zip(rows, numbers):
+        for fields, number in zip(zip(*cells), numbers):
             for column, convert, value in zip(ANALYZE_COLUMNS, _CONVERTERS, fields):
                 try:
-                    convert([value])
+                    convert([value], from_json)
                 except (TypeError, ValueError):
                     raise ResultsFormatError(
                         f"{path} {unit} {number}: column '{column}' "

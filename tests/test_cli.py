@@ -246,9 +246,14 @@ class TestStats:
         # A byte that is not UTF-8 in a row: an input error naming the file.
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes(results.read_bytes().replace(b"doc2,", b"doc\xe9,"))
+        latin1_json = tmp_path / "latin1.json"
+        latin1_json.write_bytes(
+            _run_analyze(corpus, fmt="json").read_bytes().replace(b'"doc2"', b'"doc\xe9"')
+        )
         expected = {
             broken: f"{broken} line ",
-            latin1: f"{latin1}: not UTF-8 text",
+            latin1: f"{latin1}: not UTF-8 text (invalid continuation byte)",
+            latin1_json: f"{latin1_json}: not UTF-8 text (invalid continuation byte)",
         }
         for results_file, message in expected.items():
             for command in ("stats", "report"):
@@ -300,13 +305,15 @@ class TestStats:
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
-        "first_field", ['"doc2', '"' + "x" * 200_000 + '"'], ids=["unclosed", "oversized"]
+        "first_field",
+        ['"doc2', '"' + "x" * 200_000 + '"', "x" * 200_000],
+        ids=["unclosed", "oversized", "oversized_unquoted"],
     )
     def test_unparsable_csv_row_names_its_line(
         self, corpus, tmp_path, capsys, first_field
     ):
         # An unclosed quote runs to the end of the file; a field past the
-        # csv module's size limit cannot be read at all.
+        # csv module's size limit cannot be read at all, quoted or not.
         lines = _run_analyze(corpus).read_text(encoding="utf-8").splitlines()
         number = next(i for i, line in enumerate(lines, 1) if line.startswith("doc2,"))
         lines[number - 1] = first_field + lines[number - 1][len("doc2"):]
