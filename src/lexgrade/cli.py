@@ -72,28 +72,27 @@ _WIDTH = len(ANALYZE_COLUMNS)
 _COLUMN_SET = frozenset(ANALYZE_COLUMNS)
 
 
-def _texts(cells, from_json: bool) -> list:
-    return list(cells)
-
-
-def _integers(cells, from_json: bool) -> list[int]:
-    # int() would read a JSON true as 1 and 7.5 as 7: only ints and text
-    # pass. CSV cells are all text and skip this scan.
-    if from_json and not set(map(type, cells)) <= {int, str}:
-        raise ValueError("not an integer")
+def _integers(cells) -> list[int]:
     return list(map(int, cells))
 
 
-def _floats(cells, from_json: bool) -> list[float]:
-    # float() would read a JSON true as 1.0.
-    if from_json and bool in set(map(type, cells)):
-        raise ValueError("not a number")
+def _floats(cells) -> list[float]:
     return list(map(float, cells))
+
+
+def _json_types_ok(convert, cells) -> bool:
+    # int() would read a JSON true as 1 and 7.5 as 7, and float() a true as
+    # 1.0: only ints and text pass as integers, and no number is a bool.
+    # CSV cells are all text and need no such scan.
+    types = set(map(type, cells))
+    if convert is _integers:
+        return types <= {int, str}
+    return convert is not _floats or bool not in types
 
 
 #: Per ANALYZE_COLUMNS entry, what turns that column's cells into typed values.
 _CONVERTERS = tuple(
-    _texts if column in ("id", "doc_type", "domain")
+    list if column in ("id", "doc_type", "domain")
     else _floats if column == "sum_variable"
     else _integers
     for column in ANALYZE_COLUMNS
@@ -287,9 +286,14 @@ def _csv_cells(path: str, text: str) -> tuple[dict, list, list[int]]:
     line_numbers = [n for n, line in enumerate(lines, 1) if line and line[0] != "#"]
     data = [lines[n - 1] for n in line_numbers]
 
-    if '"' in text or max(map(len, data), default=0) > csv.field_size_limit():
-        # A quoted field may hold commas and line breaks, and an over-long
-        # field is an error: both are csv.reader's to read.
+    if (
+        '"' in text
+        or "\0" in text
+        or max(map(len, data), default=0) > csv.field_size_limit()
+    ):
+        # A quoted field may hold commas and line breaks, an over-long field
+        # is an error, and csv before Python 3.11 refuses a NUL: all three
+        # are csv.reader's to read.
         return meta, *_csv_reader_cells(path, data, line_numbers)
     _check_header(path, data[0].split(",") if data else None)
     body = data[1:]
@@ -330,11 +334,11 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
 
     CSV: `# key: value` lines anywhere are meta, blank lines are skipped,
     and every other line is a header or row in csv's default dialect,
-    within csv.field_size_limit(). A file with no `"` and no over-long
-    line is split on commas in one pass; others go through csv.reader,
-    since analyze quotes an id that holds a comma or quote. Both give the
-    same cells and the same errors. JSON: an object with a 'meta' object
-    and a 'rows' list of objects keyed by ANALYZE_COLUMNS.
+    within csv.field_size_limit(). A file with no `"`, no NUL and no
+    over-long line is split on commas in one pass; others go through
+    csv.reader, since analyze quotes an id that holds a comma or quote.
+    Both give the same cells and the same errors. JSON: an object with a
+    'meta' object and a 'rows' list of objects keyed by ANALYZE_COLUMNS.
 
     Every row is checked: cell types, 4-digit years and the columns that
     analyze derives from others. Errors name the file and the line (CSV)
@@ -373,8 +377,10 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
     if not numbers:
         raise ResultsFormatError(f"{path}: no result rows")
     try:
+        if from_json and not all(map(_json_types_ok, _CONVERTERS, cells)):
+            raise ValueError("wrong JSON cell type")
         columns = {
-            column: convert(column_cells, from_json)
+            column: convert(column_cells)
             for column, convert, column_cells in zip(ANALYZE_COLUMNS, _CONVERTERS, cells)
         }
     except (TypeError, ValueError):
@@ -382,7 +388,9 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
         for fields, number in zip(zip(*cells), numbers):
             for column, convert, value in zip(ANALYZE_COLUMNS, _CONVERTERS, fields):
                 try:
-                    convert([value], from_json)
+                    if from_json and not _json_types_ok(convert, [value]):
+                        raise ValueError("wrong JSON cell type")
+                    convert([value])
                 except (TypeError, ValueError):
                     raise ResultsFormatError(
                         f"{path} {unit} {number}: column '{column}' "

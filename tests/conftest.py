@@ -72,16 +72,6 @@ def _make_handler(stub: StubRepository):
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self):
             stub.record(self.path, self.headers.get("User-Agent"))
-            released = False
-
-            def release():
-                # Before the last bytes go out: a client that waits for each
-                # answer may send its next request as soon as they arrive,
-                # before this thread runs again.
-                nonlocal released
-                stub.release()
-                released = True
-
             try:
                 query = parse_qs(urlparse(self.path).query)
                 uri = query.get("uri", [""])[0]
@@ -89,7 +79,6 @@ def _make_handler(stub: StubRepository):
                 page = stub.pages.get(celex_id, 404)
                 if isinstance(page, int):
                     self.send_response(page)
-                    release()
                     self.end_headers()
                     return
                 if isinstance(page, str):
@@ -103,11 +92,9 @@ def _make_handler(stub: StubRepository):
                     "Content-Length", str(len(page.body) if length is None else length)
                 )
                 self.end_headers()
-                release()
                 self.wfile.write(page.body)
             finally:
-                if not released:
-                    stub.release()
+                stub.release()
 
         def log_message(self, *args):
             pass
