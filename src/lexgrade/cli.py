@@ -49,7 +49,7 @@ from .errors import (
     ManifestError,
     ResultsFormatError,
 )
-from .indices import GRADE_FIELDS, LINSEAR_MODES, GradeVector
+from .indices import GRADE_FIELDS, LINSEAR_MODES
 from .stats import QUANTILE_CONVENTION, corpus_statistics, per_year_aggregate
 
 ANALYZE_COLUMNS = (
@@ -73,6 +73,23 @@ _COLUMN_SET = frozenset(ANALYZE_COLUMNS)
 
 
 def _integers(cells) -> list[int]:
+    # One JSON pass per column. The joined text holds N-1 commas put in by
+    # the join, and a list of N ints holds exactly N-1 commas and no others,
+    # so no cell held a comma and each cell was one JSON integer token (with
+    # JSON whitespace, which int() strips too): int() reads it to the same
+    # value. Any other outcome (a spelling only int() accepts such as "+3" or
+    # "007", a bad cell, non-text cells from a JSON file) goes through
+    # int(), which gives the values and errors it always gave. A single
+    # cell, as _read_results converts when it names a bad cell, goes
+    # straight to int(): there the JSON pass would only add its overhead.
+    values = []
+    if len(cells) > 1:
+        try:
+            values = json.loads("[" + ",".join(cells) + "]")
+        except (TypeError, ValueError, RecursionError):
+            pass
+    if len(values) == len(cells) and set(map(type, values)) <= {int}:
+        return values
     return list(map(int, cells))
 
 
@@ -340,6 +357,10 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
     Both give the same cells and the same errors. JSON: an object with a
     'meta' object and a 'rows' list of objects keyed by ANALYZE_COLUMNS.
 
+    An integer column of text cells is read by one json.loads of the
+    cells joined by commas when that gives one int per cell, and by int()
+    per cell otherwise (see _integers): the values and errors are int()'s.
+
     Every row is checked: cell types, 4-digit years and the columns that
     analyze derives from others. Errors name the file and the line (CSV)
     or row (JSON) of the first bad cell.
@@ -454,20 +475,18 @@ def _write_stats(path: str, fmt: str, payload: dict) -> None:
 
 def _run_stats(args: argparse.Namespace) -> int:
     meta, columns = _read_results(args.results)
-    grades = list(
-        map(GradeVector, *(columns[f] for f in GRADE_FIELDS), columns["sum_variable"])
-    )
+    n = len(columns["sum_variable"])
     payload = {
         "meta": {
             "tool_version": __version__,
             "linsear_mode": meta.get("linsear_mode", "unspecified"),
             "quantile_convention": QUANTILE_CONVENTION,
-            "n_documents": len(grades),
+            "n_documents": n,
         },
-        **asdict(corpus_statistics(grades)),
+        **asdict(corpus_statistics(columns)),
     }
     _write_stats(args.out, args.format, payload)
-    print(f"stats over {len(grades)} documents written to {args.out}", file=sys.stderr)
+    print(f"stats over {n} documents written to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -96,7 +96,9 @@ class CorpusReport:
     """Per-document results: graded rows and failures, in manifest order.
 
     Corpus-level statistics over the rows' grades come from
-    stats.corpus_statistics and stats.per_year_aggregate.
+    stats.corpus_statistics and stats.per_year_aggregate. The first
+    takes grade columns, not rows: transpose the rows' GradeVectors once
+    (see the stats module docstring).
     """
 
     rows: list[ReportRow]

@@ -6,17 +6,25 @@ alpha, and quantiles use linear interpolation between order statistics
 published numbers are auditable. Correlations are computed on the
 truncated integer grades, not the raw formula values. Cronbach's alpha
 takes integer columns only and is exact: it uses integer sums.
+
+Grades come in as columns, one value per document: corpus_statistics
+takes a mapping from each of GRADE_FIELDS and "sum_variable" to its
+column, correlation_matrix the five grade columns in GRADE_FIELDS order.
+A results file read by the CLI is already in that shape; per-document
+GradeVectors are transposed once, e.g.
+dict(zip((*GRADE_FIELDS, "sum_variable"), zip(*map(astuple, grades)))).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from operator import mul, sub
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConstantInputError, DegenerateVarianceError, StatisticsError
-from .indices import GRADE_FIELDS, GradeVector
+from .indices import GRADE_FIELDS
 
 __all__ = [
     "INDEX_LABELS",
@@ -86,8 +94,8 @@ class YearAggregate(NamedTuple):
 def _centred(column: Sequence[float]) -> tuple[float, list[float], float]:
     """Mean, deviations from it and their sum of squares (fsum: exactly rounded)."""
     mean = math.fsum(column) / len(column)
-    deviations = [v - mean for v in column]
-    return mean, deviations, math.fsum(d ** 2 for d in deviations)
+    deviations = list(map(sub, column, repeat(mean)))
+    return mean, deviations, math.fsum(map(pow, deviations, repeat(2)))
 
 
 def _correlation(dx: list[float], sxx: float, dy: list[float], syy: float) -> float:
@@ -110,18 +118,27 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return _correlation(dx, sxx, dy, syy)
 
 
-def correlation_matrix(grades: Sequence[GradeVector]) -> CorrelationMatrix:
+def correlation_matrix(
+    columns: Sequence[Sequence[float]], *, _centring=None
+) -> CorrelationMatrix:
     """Pairwise Pearson matrix over the five grade columns.
 
-    Columns are in INDEX_LABELS order. Each column is centred once and
-    shared by its four pairs. Raises ConstantInputError naming the
-    offending column when any index is constant across documents.
+    columns are in GRADE_FIELDS order; the matrix is in INDEX_LABELS
+    order. Each column is centred once and shared by its four pairs.
+    Raises ConstantInputError naming the offending column when any index
+    is constant across documents.
     """
-    if len(grades) < 2:
+    if len(columns) != len(INDEX_LABELS):
+        raise StatisticsError(f"need 5 grade columns, got {len(columns)}")
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise StatisticsError("columns have unequal lengths")
+    if n < 2:
         raise StatisticsError("need at least 2 documents")
     centred = []
-    for label, field in zip(INDEX_LABELS, GRADE_FIELDS):
-        _, deviations, squares = _centred([getattr(g, field) for g in grades])
+    for label, (_, deviations, squares) in zip(
+        INDEX_LABELS, _centring or map(_centred, columns)
+    ):
         if squares == 0:
             raise ConstantInputError(
                 f"column '{label}' is constant; correlation undefined"
@@ -187,13 +204,13 @@ def _quantile(ordered: Sequence[float], p: float) -> float:
     return ordered[lo] + (h - lo) * (ordered[hi] - ordered[lo])
 
 
-def describe(values: Sequence[float]) -> SummaryStats:
+def describe(values: Sequence[float], *, _centring=None) -> SummaryStats:
     """Descriptive summary of a numeric vector (n >= 1)."""
     n = len(values)
     if n == 0:
         raise StatisticsError("cannot summarize an empty vector")
     ordered = sorted(values)
-    mean, _, squares = _centred(values)
+    mean, _, squares = _centring or _centred(values)
     return SummaryStats(
         n=n,
         mean=mean,
@@ -206,22 +223,36 @@ def describe(values: Sequence[float]) -> SummaryStats:
     )
 
 
-def corpus_statistics(grades: Sequence[GradeVector]) -> CorpusStatistics:
-    """Summaries, Pearson correlations and FK/SMOG/ARI Cronbach alpha (n >= 1)."""
-    columns = [[getattr(g, field) for g in grades] for field in GRADE_FIELDS]
-    summary = {label: describe(column) for label, column in zip(INDEX_LABELS, columns)}
-    summary["sum_variable"] = describe([g.sum_variable for g in grades])
-    if len(grades) < 2:
+def corpus_statistics(columns: Mapping[str, Sequence[float]]) -> CorpusStatistics:
+    """Summaries, Pearson correlations and FK/SMOG/ARI Cronbach alpha (n >= 1).
+
+    columns maps each of GRADE_FIELDS and "sum_variable" to one value per
+    document. Each grade column is centred once, for its summary and for
+    the correlations.
+    """
+    grades = [columns[field] for field in GRADE_FIELDS]
+    n = len(columns["sum_variable"])
+    if any(len(column) != n for column in grades):
+        raise StatisticsError("columns have unequal lengths")
+    if n == 0:
+        raise StatisticsError("cannot summarize an empty vector")
+    centring = list(map(_centred, grades))
+    summary = {
+        label: describe(column, _centring=centred)
+        for label, column, centred in zip(INDEX_LABELS, grades, centring)
+    }
+    summary["sum_variable"] = describe(columns["sum_variable"])
+    if n < 2:
         return CorpusStatistics(summary, None, "n < 2", None, "n < 2")
 
     correlations = correlations_note = alpha = alpha_note = None
     try:
-        correlations = correlation_matrix(grades)
+        correlations = correlation_matrix(grades, _centring=centring)
     except StatisticsError as exc:
         correlations_note = str(exc)
     try:
         # Flesch-Kincaid, SMOG and ARI: the indices of the sum variable.
-        alpha = cronbach_alpha(columns[:3])
+        alpha = cronbach_alpha(grades[:3])
     except StatisticsError as exc:
         alpha_note = str(exc)
     return CorpusStatistics(summary, correlations, correlations_note, alpha, alpha_note)

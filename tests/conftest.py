@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import threading
 import time
 from dataclasses import dataclass, field
@@ -40,6 +41,12 @@ class StubRepository:
     redirects, other encodings, truncated bodies). Unknown ids get a 404.
     HTML strings are sent as UTF-8 under content_type; set it without a
     charset to test decoding.
+
+    active counts requests whose reply is not yet complete, and max_active
+    its peak. A request stops counting before the last byte of its reply
+    (of the headers, for a reply without a body) goes out, so a client
+    that waits for each reply never overlaps its next request with it.
+    hold_s delays that last byte, keeping each request active longer.
     """
 
     def __init__(self) -> None:
@@ -51,6 +58,7 @@ class StubRepository:
         self._lock = threading.Lock()
         self.active = 0
         self.max_active = 0
+        self.hold_s = 0.0
 
     def record(self, path: str, user_agent: str | None) -> None:
         with self._lock:
@@ -72,29 +80,41 @@ def _make_handler(stub: StubRepository):
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self):
             stub.record(self.path, self.headers.get("User-Agent"))
+            # Compose the whole reply, send all but its last byte, wait
+            # hold_s, stop counting, and only then send the last byte.
+            wfile, self.wfile = self.wfile, io.BytesIO()
             try:
-                query = parse_qs(urlparse(self.path).query)
-                uri = query.get("uri", [""])[0]
-                celex_id = uri.removeprefix("CELEX:")
-                page = stub.pages.get(celex_id, 404)
-                if isinstance(page, int):
-                    self.send_response(page)
-                    self.end_headers()
-                    return
-                if isinstance(page, str):
-                    body = page.encode("utf-8")
-                    page = Reply(body=body, headers={"Content-Type": stub.content_type})
-                self.send_response(page.status)
-                for name, value in page.headers.items():
-                    self.send_header(name, value)
-                length = page.content_length
-                self.send_header(
-                    "Content-Length", str(len(page.body) if length is None else length)
-                )
-                self.end_headers()
-                self.wfile.write(page.body)
+                self._compose()
+                reply = self.wfile.getvalue()
+                wfile.write(reply[:-1])
+                wfile.flush()
+                time.sleep(stub.hold_s)
             finally:
+                self.wfile = wfile
                 stub.release()
+            wfile.write(reply[-1:])
+
+        def _compose(self):
+            query = parse_qs(urlparse(self.path).query)
+            uri = query.get("uri", [""])[0]
+            celex_id = uri.removeprefix("CELEX:")
+            page = stub.pages.get(celex_id, 404)
+            if isinstance(page, int):
+                self.send_response(page)
+                self.end_headers()
+                return
+            if isinstance(page, str):
+                body = page.encode("utf-8")
+                page = Reply(body=body, headers={"Content-Type": stub.content_type})
+            self.send_response(page.status)
+            for name, value in page.headers.items():
+                self.send_header(name, value)
+            length = page.content_length
+            self.send_header(
+                "Content-Length", str(len(page.body) if length is None else length)
+            )
+            self.end_headers()
+            self.wfile.write(page.body)
 
         def log_message(self, *args):
             pass

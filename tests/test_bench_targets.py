@@ -1,16 +1,24 @@
 """Every layer function the benchmark traces exists under its name.
 
 bench/spans.py looks each target up by name and silently skips one that
-is missing, so a rename would drop a layer from the trace unnoticed.
+is missing, so a rename would drop a layer from the trace unnoticed. It
+wraps a function by replacing each lexgrade module attribute that holds
+it, so a layer reached other than through a module attribute reads 0.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import sys
+from collections import Counter
 from pathlib import Path
 
+import lexgrade.cli
+import lexgrade.stats
+
 SPANS = Path(__file__).parent.parent / "bench" / "spans.py"
+RESULTS = Path(__file__).parent / "data" / "synthetic55_results.csv"
 
 
 def bench_targets() -> tuple:
@@ -32,3 +40,27 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(module), function, None))
     ]
     assert missing == []
+
+
+def _counting(fn, name: str, calls: Counter):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_stats_layers_traced(monkeypatch, tmp_path):
+    calls = Counter()
+    for name in ("describe", "correlation_matrix", "cronbach_alpha"):
+        original = getattr(lexgrade.stats, name)
+        wrapper = _counting(original, name, calls)
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "lexgrade" or module_name.startswith("lexgrade."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    argv = ["stats", "--results", str(RESULTS), "--out", str(tmp_path / "stats.csv")]
+    assert lexgrade.cli.main(argv) == 0
+    # Five grade columns and the sum variable; one matrix; one alpha.
+    assert calls == {"describe": 6, "correlation_matrix": 1, "cronbach_alpha": 1}

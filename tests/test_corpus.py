@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from lexgrade.errors import (
     DegenerateTextError,
     ManifestError,
 )
-from lexgrade.indices import grade_all
+from lexgrade.indices import GRADE_FIELDS, grade_all
 from lexgrade.segmenter import compute_metrics
 from lexgrade.stats import corpus_statistics, cronbach_alpha, per_year_aggregate
 
@@ -42,6 +43,12 @@ def record(doc_id="32016R0679", doc_type=DocType.REGULATION, year=2016,
         domain=domain,
         source=f"{doc_id}.txt",
     )
+
+
+def grade_columns(rows) -> dict:
+    """corpus_statistics' columns: the rows' GradeVectors, transposed once."""
+    grades = (astuple(r.grades) for r in rows)
+    return dict(zip((*GRADE_FIELDS, "sum_variable"), zip(*grades)))
 
 
 MANIFEST_HEADER = "id,doc_type,year,title,domain,source\n"
@@ -253,7 +260,7 @@ class TestAnalyzeCorpus:
         assert [r.record.id for r in report.rows] == ["doc1", "doc2", "doc3"]
         assert report.failures == []
 
-        statistics = corpus_statistics([r.grades for r in report.rows])
+        statistics = corpus_statistics(grade_columns(report.rows))
         g1 = [r.grades.g1_flesch_kincaid for r in report.rows]
         g2 = [r.grades.g2_smog for r in report.rows]
         g3 = [r.grades.g3_ari for r in report.rows]
@@ -272,7 +279,7 @@ class TestAnalyzeCorpus:
     def test_single_doc_notes_small_n(self, tmp_path):
         records, texts = _three_doc_corpus(tmp_path)
         report = analyze_corpus(records[:1], directory_resolver(texts))
-        statistics = corpus_statistics([r.grades for r in report.rows])
+        statistics = corpus_statistics(grade_columns(report.rows))
         assert statistics.correlations is None
         assert statistics.correlations_note == "n < 2"
         assert statistics.alpha is None

@@ -336,12 +336,24 @@ class TestFetchAll:
         # loopback jitter allowance: starts are spaced by the limiter
         assert all(gap >= delay_ms / 1000 - 0.02 for gap in gaps)
 
-    def test_concurrency_limit_respected(self, stub_repo, tmp_path):
+    def _fetch_held(self, stub_repo, tmp_path, concurrency):
+        # Each reply is held open 50 ms, so requests a fetcher runs side by
+        # side overlap at the stub, and one run after another never do.
+        stub_repo.hold_s = 0.05
         for i in range(4):
             stub_repo.pages[f"3202{i}R000{i}"] = f"<p>Doc {i}.</p>"
         records = [record(f"3202{i}R000{i}") for i in range(4)]
-        fetch_all(records, tmp_path, settings(stub_repo, concurrency=1))
+        fetch_all(records, tmp_path, settings(stub_repo, concurrency=concurrency))
+
+    def test_concurrency_limit_respected(self, stub_repo, tmp_path):
+        self._fetch_held(stub_repo, tmp_path, concurrency=1)
         assert stub_repo.max_active == 1
+
+    def test_concurrent_requests_seen_overlapping(self, stub_repo, tmp_path):
+        # The check above could not catch a fetcher that overlaps requests
+        # if the stub failed to see overlap.
+        self._fetch_held(stub_repo, tmp_path, concurrency=4)
+        assert stub_repo.max_active > 1
 
     @pytest.mark.parametrize(
         "base_url",

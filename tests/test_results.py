@@ -30,16 +30,24 @@ _IDS = st.one_of(
     st.text(st.sampled_from('ab,"\n\r# \t'), max_size=6),
 )
 # Cells that int() or float() refuse, or read though they are not plain
-# digits.
+# digits, and cells that JSON and int() read differently: JSON refuses
+# "007", "\x0c7", "NaN" and the bracket cells (the last by recursion
+# depth), reads "1E3" and "Infinity" as floats, and "1,2" (written quoted)
+# as two numbers.
 _BAD_CELLS = [
     "", " ", "x", "1.5", "nan", "inf", "true", "-", "+3", " 7", "1_0", "٣",
-    "1e3", "0x10",
+    "1e3", "0x10", "007", "-0", "\t7", "\x0c7", "[1", "7]", "NaN", "Infinity",
+    "1E3", "[" * 2000, "1,2",
 ]
 # Cells at and just over the csv field-size limit; the one with commas
 # is written quoted.
 _LONG_CELLS = ["x" * _LIMIT, "x" * (_LIMIT + 1), "x," * (_LIMIT // 2 + 1)]
 _HEADER = ",".join(ANALYZE_COLUMNS)
 _ROW = "doc1,Regulation,2016,GeneralRules,4,60,90,10,300,290,50,10,7,8,9,10,11,8.0"
+# _ROW's values in integer spellings that int() reads and JSON does not.
+_INT_ONLY_ROW = (
+    "doc2,Regulation,+2016,GeneralRules,\x0c4,٦٠,90,1_0,0300,290,50,10,007,8,9,10,11,8.0"
+)
 _EXTRA_LINES = ["", "", "#", "# lexgrade_version: 9", "#k:v:w", "#\t", "   "]
 
 
@@ -134,12 +142,26 @@ class TestReadResultsReference:
         ("# only: meta\n\n", False),
         (_HEADER + "\n", False),
         (_HEADER + "\n" + "a\0b" + _ROW[len("doc1"):] + "\n", sys.version_info >= (3, 11)),
+        (_HEADER + "\n" + _ROW + "\n" + _INT_ONLY_ROW + "\n", True),
     ], ids=[
         "plain", "comments-crlf", "quoted-cr", "quoted-newlines", "long-row",
         "non-numeric", "over-limit", "at-limit", "no-header", "no-rows", "nul",
+        "int-only-spellings",
     ])
     def test_pinned_cases(self, path, text, reads):
         _write(path, text)
         outcome = _outcome(_read_results, str(path))
         assert outcome == _outcome(reference.read_results, str(path))
         assert isinstance(outcome, tuple) == reads
+
+    @pytest.mark.parametrize("column", ["year", "g1_flesch_kincaid"])
+    @pytest.mark.parametrize("cell", _BAD_CELLS, ids=[repr(c)[:12] for c in _BAD_CELLS])
+    def test_bad_cell_in_integer_column(self, path, column, cell):
+        # Every bad cell, once each, among cells that JSON reads.
+        row = _ROW.split(",")
+        row[ANALYZE_COLUMNS.index(column)] = cell
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([_ROW.split(","), row, _ROW.split(",")])
+        _write(path, _HEADER + "\n" + buffer.getvalue())
+        outcome = _outcome(_read_results, str(path))
+        assert outcome == _outcome(reference.read_results, str(path))

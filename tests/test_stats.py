@@ -14,9 +14,10 @@ from lexgrade.errors import (
     DegenerateVarianceError,
     StatisticsError,
 )
-from lexgrade.indices import GradeVector
+from lexgrade.indices import GRADE_FIELDS
 from lexgrade.stats import (
     INDEX_LABELS,
+    corpus_statistics,
     correlation_matrix,
     cronbach_alpha,
     describe,
@@ -28,8 +29,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 import stats_reference as reference  # noqa: E402
 
 
-def gv(g1=0, g2=0, g3=0, g4=0, g5=0) -> GradeVector:
-    return GradeVector(g1, g2, g3, g4, g5, (g1 + g2 + g3) / 3)
+def grade_columns(*rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The five grade columns of per-document rows of five grades."""
+    return list(zip(*rows))
 
 
 class TestPearson:
@@ -73,20 +75,20 @@ class TestPearson:
 
 class TestCorrelationMatrix:
     def test_collinear_columns_all_one(self):
-        grades = [gv(1, 2, 3, 4, 5), gv(2, 3, 4, 5, 6), gv(3, 4, 5, 6, 7)]
+        grades = grade_columns((1, 2, 3, 4, 5), (2, 3, 4, 5, 6), (3, 4, 5, 6, 7))
         matrix = correlation_matrix(grades)
         assert matrix.labels == INDEX_LABELS
         for row in matrix.values:
             assert all(v == 1.0 for v in row)
 
     def test_constant_column_named(self):
-        grades = [gv(1, 2, 3, 9, 5), gv(2, 3, 4, 9, 6), gv(3, 4, 5, 9, 7)]
+        grades = grade_columns((1, 2, 3, 9, 5), (2, 3, 4, 9, 6), (3, 4, 5, 9, 7))
         with pytest.raises(ConstantInputError, match="coleman_liau"):
             correlation_matrix(grades)
 
     def test_symmetric_and_unit_diagonal(self):
-        grades = [gv(1, 5, 2, 8, 3), gv(4, 1, 9, 2, 6), gv(2, 7, 3, 1, 9),
-                  gv(8, 2, 5, 4, 1)]
+        grades = grade_columns((1, 5, 2, 8, 3), (4, 1, 9, 2, 6), (2, 7, 3, 1, 9),
+                               (8, 2, 5, 4, 1))
         matrix = correlation_matrix(grades)
         for i in range(5):
             assert matrix.values[i][i] == 1.0
@@ -96,7 +98,7 @@ class TestCorrelationMatrix:
 
     def test_needs_two_documents(self):
         with pytest.raises(StatisticsError):
-            correlation_matrix([gv(1, 2, 3, 4, 5)])
+            correlation_matrix(grade_columns((1, 2, 3, 4, 5)))
 
 
 class TestCronbachAlpha:
@@ -234,11 +236,44 @@ class TestAgainstReference:
     @settings(max_examples=100, deadline=None)
     @given(_columns(5, 5))
     def test_correlation_matrix(self, columns):
-        grades = [GradeVector(*row, 0.0) for row in zip(*columns)]
         try:
             expected = reference.correlation_values(columns)
         except ConstantInputError:
             with pytest.raises(ConstantInputError):
-                correlation_matrix(grades)
+                correlation_matrix(columns)
             return
-        assert correlation_matrix(grades).values == expected
+        assert correlation_matrix(columns).values == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 25).flatmap(
+        lambda n: st.lists(st.lists(_grade, min_size=n, max_size=n), min_size=5, max_size=5)
+    ))
+    def test_corpus_statistics(self, grades):
+        # Each grade column is centred once for its summary and the
+        # correlations; every figure must still equal the one computed alone.
+        sums = [(a + b + c) / 3 for a, b, c in zip(*grades[:3])]
+        columns = {**dict(zip(GRADE_FIELDS, grades)), "sum_variable": sums}
+        statistics = corpus_statistics(columns)
+
+        assert statistics.summary == {
+            **{label: describe(column) for label, column in zip(INDEX_LABELS, grades)},
+            "sum_variable": describe(sums),
+        }
+        if len(sums) < 2:
+            assert (statistics.correlations, statistics.correlations_note) == (None, "n < 2")
+            assert (statistics.alpha, statistics.alpha_note) == (None, "n < 2")
+            return
+        try:
+            expected = reference.correlation_values(grades)
+        except ConstantInputError:
+            assert statistics.correlations is None
+            assert "is constant" in statistics.correlations_note
+        else:
+            assert statistics.correlations.labels == INDEX_LABELS
+            assert statistics.correlations.values == expected
+            assert statistics.correlations_note is None
+        alpha = _outcome(reference.cronbach_alpha, grades[:3])
+        if isinstance(alpha, float):
+            assert (statistics.alpha, statistics.alpha_note) == (alpha, None)
+        else:
+            assert (statistics.alpha, statistics.alpha_note) == (None, alpha[1])
