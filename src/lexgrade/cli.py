@@ -72,48 +72,56 @@ _WIDTH = len(ANALYZE_COLUMNS)
 _COLUMN_SET = frozenset(ANALYZE_COLUMNS)
 
 
-def _integers(cells) -> list[int]:
-    # One JSON pass per column. The joined text holds N-1 commas put in by
-    # the join, and a list of N ints holds exactly N-1 commas and no others,
-    # so no cell held a comma and each cell was one JSON integer token (with
-    # JSON whitespace, which int() strips too): int() reads it to the same
-    # value. Any other outcome (a spelling only int() accepts such as "+3" or
-    # "007", a bad cell, non-text cells from a JSON file) goes through
-    # int(), which gives the values and errors it always gave. A single
-    # cell, as _read_results converts when it names a bad cell, goes
-    # straight to int(): there the JSON pass would only add its overhead.
-    values = []
-    if len(cells) > 1:
-        try:
-            values = json.loads("[" + ",".join(cells) + "]")
-        except (TypeError, ValueError, RecursionError):
-            pass
-    if len(values) == len(cells) and set(map(type, values)) <= {int}:
-        return values
-    return list(map(int, cells))
-
-
-def _floats(cells) -> list[float]:
-    return list(map(float, cells))
-
-
-def _json_types_ok(convert, cells) -> bool:
-    # int() would read a JSON true as 1 and 7.5 as 7, and float() a true as
-    # 1.0: only ints and text pass as integers, and no number is a bool.
-    # CSV cells are all text and need no such scan.
-    types = set(map(type, cells))
-    if convert is _integers:
-        return types <= {int, str}
-    return convert is not _floats or bool not in types
-
-
-#: Per ANALYZE_COLUMNS entry, what turns that column's cells into typed values.
-_CONVERTERS = tuple(
-    list if column in ("id", "doc_type", "domain")
-    else _floats if column == "sum_variable"
-    else _integers
+#: Per ANALYZE_COLUMNS entry, the types its values may have: None for a
+#: text column, int for an integer column, int or float for sum_variable
+#: (a JSON true is a bool, so it never passes as 1).
+_KINDS = tuple(
+    None if column in ("id", "doc_type", "domain")
+    else {int, float} if column == "sum_variable"
+    else {int}
     for column in ANALYZE_COLUMNS
 )
+
+#: Per range-checked column: its bounds and what an error says is expected.
+#: stats takes grades as floats, which hold every integer up to 2**53
+#: exactly; far larger grades overflow its sums and the sum variable's
+#: division.
+_RANGES = (
+    ("year", 1000, 9999, "a 4-digit year"),
+    *((f, -2**53, 2**53, "a grade between -2**53 and 2**53") for f in GRADE_FIELDS),
+)
+
+_SOURCES = ("word_count", "polysyllable_count", *GRADE_FIELDS[:3])
+_DERIVED = ("hard_word_count", "easy_word_count", "sum_variable")
+
+
+def _derived(words, polysyllables, fk, smog, ari) -> tuple[list, list, list]:
+    """The _DERIVED columns, from the _SOURCES columns, as analyze computes them."""
+    return (
+        polysyllables,
+        [w - p for w, p in zip(words, polysyllables)],
+        [(a + b + c) / 3 for a, b, c in zip(fk, smog, ari)],
+    )
+
+
+def _json_cells(cells) -> list:
+    # The join puts in N-1 commas, and a list of N numbers holds exactly N-1
+    # commas, none inside a number: so when _column finds N numbers, no cell
+    # held a comma and each cell was one JSON number.
+    return json.loads("[" + ",".join(cells) + "]")
+
+
+def _column(cells, kinds, parse) -> list | None:
+    """One column's values, or None when a cell is not one value of kinds."""
+    if kinds is None:
+        return list(cells)
+    try:
+        values = parse(cells)
+    except (ValueError, RecursionError):
+        return None
+    if len(values) == len(cells) and set(map(type, values)) <= kinds:
+        return values
+    return None
 
 
 def _env(name: str, fallback: str | None) -> str | None:
@@ -357,13 +365,13 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
     Both give the same cells and the same errors. JSON: an object with a
     'meta' object and a 'rows' list of objects keyed by ANALYZE_COLUMNS.
 
-    An integer column of text cells is read by one json.loads of the
-    cells joined by commas when that gives one int per cell, and by int()
-    per cell otherwise (see _integers): the values and errors are int()'s.
+    Numbers are JSON numbers in both formats: one JSON integer per cell of
+    an integer column, one JSON integer or float (never a bool) per
+    sum_variable cell. A CSV column is read by one json.loads of its cells.
 
-    Every row is checked: cell types, 4-digit years and the columns that
-    analyze derives from others. Errors name the file and the line (CSV)
-    or row (JSON) of the first bad cell.
+    Every row is checked: cell types, 4-digit years, grades within
+    2**53, and the columns that analyze derives from others. Errors name
+    the file and the line (CSV) or row (JSON) of the first bad cell.
     """
     p = Path(path)
     if not p.exists():
@@ -372,11 +380,10 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ResultsFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    from_json = p.suffix.lower() == ".json"
-    if from_json:
+    if p.suffix.lower() == ".json":
         try:
             payload = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ResultsFormatError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(payload, dict) or "rows" not in payload:
             raise ResultsFormatError(f"{path}: expected an object with 'rows'")
@@ -390,60 +397,46 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
             if not isinstance(raw, dict) or raw.keys() != _COLUMN_SET:
                 raise ResultsFormatError(f"{path} row {number}: wrong columns")
             rows.append([raw[column] for column in ANALYZE_COLUMNS])
-        unit, cells, numbers = "row", list(zip(*rows)), range(1, len(rows) + 1)
+        unit, parse, cells, numbers = "row", list, list(zip(*rows)), range(1, len(rows) + 1)
     else:
         meta, cells, numbers = _csv_cells(path, text)
-        unit = "line"
+        unit, parse = "line", _json_cells
 
     if not numbers:
         raise ResultsFormatError(f"{path}: no result rows")
-    try:
-        if from_json and not all(map(_json_types_ok, _CONVERTERS, cells)):
-            raise ValueError("wrong JSON cell type")
-        columns = {
-            column: convert(column_cells)
-            for column, convert, column_cells in zip(ANALYZE_COLUMNS, _CONVERTERS, cells)
-        }
-    except (TypeError, ValueError):
-        # Name the first bad cell in file order.
-        for fields, number in zip(zip(*cells), numbers):
-            for column, convert, value in zip(ANALYZE_COLUMNS, _CONVERTERS, fields):
-                try:
-                    if from_json and not _json_types_ok(convert, [value]):
-                        raise ValueError("wrong JSON cell type")
-                    convert([value])
-                except (TypeError, ValueError):
-                    raise ResultsFormatError(
-                        f"{path} {unit} {number}: column '{column}' "
-                        f"has non-numeric value {value!r}"
-                    ) from None
-        raise
-    # Columns that analyze derives from others must agree with them.
-    years, words, polysyllables = (
-        columns[c] for c in ("year", "word_count", "polysyllable_count")
-    )
-    fk, smog, ari = (columns[f] for f in GRADE_FIELDS[:3])
-    derived = {
-        "hard_word_count": polysyllables,
-        "easy_word_count": [w - p for w, p in zip(words, polysyllables)],
-        "sum_variable": [(a + b + c) / 3 for a, b, c in zip(fk, smog, ari)],
-    }
-    if not 1000 <= min(years) <= max(years) <= 9999 or any(
-        columns[column] != expected for column, expected in derived.items()
-    ):
+    values = list(map(_column, cells, _KINDS, repeat(parse)))
+    if None in values:
+        # A column fails exactly when one of its cells does. Each failing
+        # column is searched alone; the first bad cell in file order wins.
+        row, i = min(
+            (next(r for r, c in enumerate(cells[i]) if not _column([c], kinds, parse)), i)
+            for i, (kinds, column) in enumerate(zip(_KINDS, values)) if column is None
+        )
+        raise ResultsFormatError(
+            f"{path} {unit} {numbers[row]}: column '{ANALYZE_COLUMNS[i]}' "
+            f"has non-numeric value {cells[i][row]!r}"
+        )
+    columns = dict(zip(ANALYZE_COLUMNS, values))
+
+    # Years and grades must be in range before any arithmetic on them, and
+    # the derived columns must agree with the columns they come from.
+    sources = [columns[c] for c in _SOURCES]
+    if not all(
+        low <= min(columns[c]) and max(columns[c]) <= high for c, low, high, _ in _RANGES
+    ) or any(columns[c] != e for c, e in zip(_DERIVED, _derived(*sources))):
         # Name the first bad row in file order.
-        for i, (number, year) in enumerate(zip(numbers, years)):
-            if not 1000 <= year <= 9999:
+        for r, number in enumerate(numbers):
+            wrong = [(c, what) for c, low, high, what in _RANGES
+                     if not low <= columns[c][r] <= high]
+            if not wrong:
+                derived = _derived(*(s[r:r + 1] for s in sources))
+                wrong = [(c, e) for c, (e,) in zip(_DERIVED, derived) if columns[c][r] != e]
+            if wrong:
+                column, expected = wrong[0]
                 raise ResultsFormatError(
-                    f"{path} {unit} {number}: column 'year' has value {year}, "
-                    "expected a 4-digit year"
+                    f"{path} {unit} {number}: column '{column}' "
+                    f"has value {columns[column][r]}, expected {expected}"
                 )
-            for column, expected in derived.items():
-                if columns[column][i] != expected[i]:
-                    raise ResultsFormatError(
-                        f"{path} {unit} {number}: column '{column}' "
-                        f"has value {columns[column][i]}, expected {expected[i]}"
-                    )
     return meta, columns
 
 

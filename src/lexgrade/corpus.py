@@ -116,6 +116,9 @@ def _parse_record(raw: dict, where: str, seen_ids: set[str]) -> DocumentRecord:
     doc_id = str(raw["id"]).strip()
     if not doc_id:
         raise ManifestError(f"{where}: id must be non-empty")
+    if "\0" in doc_id:
+        # No file name can hold a NUL: the text and cache paths come from ids.
+        raise ManifestError(f"{where}: id must not hold a NUL character")
     if doc_id in seen_ids:
         raise ManifestError(f"{where}: duplicate id '{doc_id}'")
 

@@ -30,7 +30,6 @@ __all__ = [
     "ari",
     "coleman_liau",
     "linsear_write",
-    "grade_all",
     "grade_metrics",
 ]
 
@@ -175,7 +174,3 @@ def grade_metrics(text: str, mode: str = "windowed") -> tuple[TextMetrics, Grade
         sum_variable=(g1 + g2 + g3) / 3,
     )
 
-
-def grade_all(text: str, mode: str = "windowed") -> GradeVector:
-    """Compute all five grades and the sum variable for one text."""
-    return grade_metrics(text, mode)[1]

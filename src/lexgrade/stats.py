@@ -33,7 +33,6 @@ __all__ = [
     "CorrelationMatrix",
     "SummaryStats",
     "YearAggregate",
-    "pearson",
     "correlation_matrix",
     "cronbach_alpha",
     "describe",
@@ -101,21 +100,6 @@ def _centred(column: Sequence[float]) -> tuple[float, list[float], float]:
 def _correlation(dx: list[float], sxx: float, dy: list[float], syy: float) -> float:
     r = math.fsum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
-
-
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient of two equal-length vectors."""
-    if len(x) != len(y):
-        raise StatisticsError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 2:
-        raise StatisticsError("need at least 2 observations")
-    _, dx, sxx = _centred(x)
-    _, dy, syy = _centred(y)
-    if sxx == 0:
-        raise ConstantInputError("first vector is constant; correlation undefined")
-    if syy == 0:
-        raise ConstantInputError("second vector is constant; correlation undefined")
-    return _correlation(dx, sxx, dy, syy)
 
 
 def correlation_matrix(

@@ -2,15 +2,18 @@
 
 A second spelling of lexgrade.cli._read_results for CSV files. It walks
 the file line by line, hands every data line to one csv.reader and keeps
-a list per row, whether or not the file holds a quote. Conversion and
-the year and derived-column checks follow as they do in the program.
-Tests compare the two on generated files. Nothing in the package
-imports this module.
+a list per row, whether or not the file holds a quote. Each numeric
+cell is read by its own json.loads and must give one number of its
+column's type: an int, or an int or float in sum_variable, never a bool.
+Every row is then checked in order for its year, its grades within
+2**53 and the columns that analyze derives from others. Tests compare
+the two on generated files. Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from pathlib import Path
 
 from lexgrade.cli import ANALYZE_COLUMNS
@@ -18,20 +21,18 @@ from lexgrade.errors import ResultsFormatError
 from lexgrade.indices import GRADE_FIELDS
 
 
-def _integers(cells) -> list[int]:
-    return list(map(int, cells))
+_TEXT_COLUMNS = ("id", "doc_type", "domain")
 
 
-def _floats(cells) -> list[float]:
-    return list(map(float, cells))
-
-
-_CONVERTERS = tuple(
-    list if column in ("id", "doc_type", "domain")
-    else _floats if column == "sum_variable"
-    else _integers
-    for column in ANALYZE_COLUMNS
-)
+def _number(cell: str, column: str):
+    """The JSON number in one cell, or ValueError."""
+    try:
+        value = json.loads(cell)
+    except RecursionError:
+        raise ValueError("too deeply nested") from None
+    if type(value) is int or (column == "sum_variable" and type(value) is float):
+        return value
+    raise ValueError(f"not a number of column {column!r}")
 
 
 def read_results(path: str) -> tuple[dict, dict[str, list]]:
@@ -79,41 +80,42 @@ def read_results(path: str) -> tuple[dict, dict[str, list]]:
 
     if not rows:
         raise ResultsFormatError(f"{path}: no result rows")
-    try:
-        columns = {
-            column: convert(cells)
-            for column, convert, cells in zip(ANALYZE_COLUMNS, _CONVERTERS, zip(*rows))
-        }
-    except (TypeError, ValueError):
-        for fields, number in zip(rows, numbers):
-            for column, convert, value in zip(ANALYZE_COLUMNS, _CONVERTERS, fields):
-                try:
-                    convert([value])
-                except (TypeError, ValueError):
-                    raise ResultsFormatError(
-                        f"{path} line {number}: column '{column}' "
-                        f"has non-numeric value {value!r}"
-                    ) from None
-        raise
-    years, words, polysyllables = (
-        columns[c] for c in ("year", "word_count", "polysyllable_count")
-    )
-    fk, smog, ari = (columns[f] for f in GRADE_FIELDS[:3])
-    derived = {
-        "hard_word_count": polysyllables,
-        "easy_word_count": [w - p for w, p in zip(words, polysyllables)],
-        "sum_variable": [(a + b + c) / 3 for a, b, c in zip(fk, smog, ari)],
-    }
-    for i, (number, year) in enumerate(zip(numbers, years)):
+    columns = {column: [] for column in ANALYZE_COLUMNS}
+    for fields, number in zip(rows, numbers):
+        for column, value in zip(ANALYZE_COLUMNS, fields):
+            try:
+                columns[column].append(
+                    value if column in _TEXT_COLUMNS else _number(value, column)
+                )
+            except ValueError:
+                raise ResultsFormatError(
+                    f"{path} line {number}: column '{column}' "
+                    f"has non-numeric value {value!r}"
+                ) from None
+    for i, number in enumerate(numbers):
+        year = columns["year"][i]
         if not 1000 <= year <= 9999:
             raise ResultsFormatError(
                 f"{path} line {number}: column 'year' has value {year}, "
                 "expected a 4-digit year"
             )
+        for field in GRADE_FIELDS:
+            if abs(columns[field][i]) > 2**53:
+                raise ResultsFormatError(
+                    f"{path} line {number}: column '{field}' has value "
+                    f"{columns[field][i]}, expected a grade between -2**53 and 2**53"
+                )
+        words, polysyllables = columns["word_count"][i], columns["polysyllable_count"][i]
+        fk, smog, ari = (columns[field][i] for field in GRADE_FIELDS[:3])
+        derived = {
+            "hard_word_count": polysyllables,
+            "easy_word_count": words - polysyllables,
+            "sum_variable": (fk + smog + ari) / 3,
+        }
         for column, expected in derived.items():
-            if columns[column][i] != expected[i]:
+            if columns[column][i] != expected:
                 raise ResultsFormatError(
                     f"{path} line {number}: column '{column}' "
-                    f"has value {columns[column][i]}, expected {expected[i]}"
+                    f"has value {columns[column][i]}, expected {expected}"
                 )
     return meta, columns

@@ -1,10 +1,11 @@
 """Test oracle: Cronbach's alpha per cell in Fraction, Pearson pair by pair.
 
-A second spelling of lexgrade.stats.cronbach_alpha, pearson and
+A second spelling of lexgrade.stats.cronbach_alpha and
 correlation_matrix for tests to compare against bit for bit. Alpha turns
 every cell into a Fraction and takes each sample variance as an exact
-rational; each correlation centres both of its columns afresh. Nothing
-in the package imports this module.
+rational; each correlation is one pearson call that centres both of its
+columns afresh. Tests compare pearson with one entry of
+correlation_matrix. Nothing in the package imports this module.
 """
 
 from __future__ import annotations

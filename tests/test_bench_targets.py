@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,6 +21,7 @@ import lexgrade.stats
 
 SPANS = Path(__file__).parent.parent / "bench" / "spans.py"
 RESULTS = Path(__file__).parent / "data" / "synthetic55_results.csv"
+WORKLOADS = SPANS.parent / "workloads.py"
 
 
 def bench_targets() -> tuple:
@@ -64,3 +67,17 @@ def test_stats_layers_traced(monkeypatch, tmp_path):
     assert lexgrade.cli.main(argv) == 0
     # Five grade columns and the sum variable; one matrix; one alpha.
     assert calls == {"describe": 6, "correlation_matrix": 1, "cronbach_alpha": 1}
+
+
+def test_benchmark_results_rows_read(monkeypatch, tmp_path):
+    # The stats-20k rows, in the syntax the benchmark writes them: a change
+    # to what results files may hold must still read them.
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    results = tmp_path / "results.csv"
+    workloads.write_results(random.Random(20), {2000: results}, "0.1.0")
+    for command in ("stats", "report"):
+        argv = [command, "--results", str(results), "--out", str(tmp_path / "out.csv")]
+        assert lexgrade.cli.main(argv) == 0

@@ -120,12 +120,26 @@ class TestAnalyze:
         latin1_csv.write_bytes(MANIFEST.replace("First", "Premi\xe8re").encode("latin-1"))
         latin1_json = corpus / "latin1.json"
         latin1_json.write_bytes(b'[{"id": "doc1", "title": "\xff"}]')
-        for manifest in (latin1_csv, latin1_json):
+        # An id no file name can hold.
+        nul_csv = corpus / "nul.csv"
+        nul_csv.write_text(MANIFEST.replace("doc2,", '"a\x00b",'), encoding="utf-8")
+        nul_json = corpus / "nul.json"
+        nul_json.write_text(json.dumps([{
+            "id": "a\x00b", "doc_type": "COM", "year": 2016, "title": "T",
+            "domain": "GeneralRules", "source": "a.txt",
+        }]), encoding="utf-8")
+        expected = {
+            latin1_csv: f"{latin1_csv}: not UTF-8 text",
+            latin1_json: f"{latin1_json}: not UTF-8 text",
+            nul_csv: f"{nul_csv} row 3: id must not hold a NUL character",
+            nul_json: f"{nul_json} entry 1: id must not hold a NUL character",
+        }
+        for manifest, message in expected.items():
             assert main([
                 "analyze", "--manifest", str(manifest),
                 "--texts", str(corpus / "texts"), "--out", str(corpus / "r.csv"),
             ]) == 2
-            assert f"{manifest}: not UTF-8 text" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         assert not (corpus / "r.csv").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -250,10 +264,14 @@ class TestStats:
         latin1_json.write_bytes(
             _run_analyze(corpus, fmt="json").read_bytes().replace(b'"doc2"', b'"doc\xe9"')
         )
+        # JSON nested past the parser's recursion limit.
+        deep_json = tmp_path / "deep.json"
+        deep_json.write_text('{"rows": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
         expected = {
             broken: f"{broken} line ",
             latin1: f"{latin1}: not UTF-8 text (invalid continuation byte)",
             latin1_json: f"{latin1_json}: not UTF-8 text (invalid continuation byte)",
+            deep_json: f"{deep_json}: invalid JSON (maximum recursion depth exceeded",
         }
         for results_file, message in expected.items():
             for command in ("stats", "report"):
@@ -286,7 +304,7 @@ class TestStats:
     @pytest.mark.parametrize(
         "column, value",
         [("year", 2016.9), ("g2_smog", 7.5), ("g1_flesch_kincaid", True), ("year", 2016.0),
-         ("sum_variable", True)],
+         ("sum_variable", True), ("year", "2016")],
     )
     def test_json_non_integer_is_format_error(
         self, corpus, tmp_path, capsys, column, value
@@ -375,38 +393,17 @@ class TestReport:
         assert code == 2
         assert "year" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("year", [99999, 999, -2016])
-    def test_year_out_of_range_names_row(self, corpus, tmp_path, capsys, year):
-        csv_lines = _run_analyze(corpus).read_text(encoding="utf-8").splitlines()
-        number = next(i for i, line in enumerate(csv_lines, 1) if line.startswith("doc2,"))
-        csv_lines[number - 1] = csv_lines[number - 1].replace(",1995,", f",{year},")
-        broken_csv = tmp_path / "broken.csv"
-        broken_csv.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-        payload = json.loads(_run_analyze(corpus, fmt="json").read_text(encoding="utf-8"))
-        payload["rows"][1]["year"] = year
-        broken_json = tmp_path / "broken.json"
-        broken_json.write_text(json.dumps(payload), encoding="utf-8")
-        for broken, where in ((broken_csv, f"line {number}"), (broken_json, "row 2")):
-            for command in ("stats", "report"):
-                assert main([
-                    command, "--results", str(broken), "--out", str(tmp_path / "o.csv"),
-                ]) == 2
-                assert (
-                    f"{broken} {where}: column 'year' has value {year}, "
-                    "expected a 4-digit year\n"
-                ) in capsys.readouterr().err
-        assert not (tmp_path / "o.csv").exists()
-
-    @pytest.mark.parametrize("column", ["hard_word_count", "easy_word_count", "sum_variable"])
-    def test_derived_column_contradicting_counts_names_row(
-        self, corpus, tmp_path, capsys, column
-    ):
-        payload = json.loads(_run_analyze(corpus, fmt="json").read_text(encoding="utf-8"))
-        expected = payload["rows"][1][column]
-        value = 42.0 if column == "sum_variable" else expected + 1
-        payload["rows"][1][column] = value
-        broken_json = tmp_path / "broken.json"
-        broken_json.write_text(json.dumps(payload), encoding="utf-8")
+    @pytest.mark.parametrize("column, value", [
+        ("year", 99999), ("year", 999), ("year", -2016),
+        # Grades past 2**53 would overflow the sum variable's division
+        # (g1) and the float sums of stats (g4).
+        ("g1_flesch_kincaid", 10**400), ("g4_coleman_liau", 10**400),
+        ("g5_linsear", -(2**53) - 1),
+    ], ids=["99999", "999", "-2016", "g1-huge", "g4-huge", "g5-below"])
+    def test_year_out_of_range_names_row(self, corpus, tmp_path, capsys, column, value):
+        expected = (
+            "a 4-digit year" if column == "year" else "a grade between -2**53 and 2**53"
+        )
         csv_lines = _run_analyze(corpus).read_text(encoding="utf-8").splitlines()
         number = next(i for i, line in enumerate(csv_lines, 1) if line.startswith("doc2,"))
         fields = csv_lines[number - 1].split(",")
@@ -414,6 +411,10 @@ class TestReport:
         csv_lines[number - 1] = ",".join(fields)
         broken_csv = tmp_path / "broken.csv"
         broken_csv.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        payload = json.loads(_run_analyze(corpus, fmt="json").read_text(encoding="utf-8"))
+        payload["rows"][1][column] = value
+        broken_json = tmp_path / "broken.json"
+        broken_json.write_text(json.dumps(payload), encoding="utf-8")
         for broken, where in ((broken_csv, f"line {number}"), (broken_json, "row 2")):
             for command in ("stats", "report"):
                 assert main([
@@ -423,6 +424,39 @@ class TestReport:
                     f"{broken} {where}: column '{column}' has value {value}, "
                     f"expected {expected}\n"
                 ) in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("column", ["hard_word_count", "easy_word_count", "sum_variable"])
+    def test_derived_column_contradicting_counts_names_row(
+        self, corpus, tmp_path, capsys, column
+    ):
+        payload = json.loads(_run_analyze(corpus, fmt="json").read_text(encoding="utf-8"))
+        expected = payload["rows"][1][column]
+        csv_lines = _run_analyze(corpus).read_text(encoding="utf-8").splitlines()
+        number = next(i for i, line in enumerate(csv_lines, 1) if line.startswith("doc2,"))
+        # A sum variable far past any float must not overflow the check.
+        values = [42.0, 10**400] if column == "sum_variable" else [expected + 1]
+        for value in values:
+            payload["rows"][1][column] = value
+            broken_json = tmp_path / "broken.json"
+            broken_json.write_text(json.dumps(payload), encoding="utf-8")
+            fields = csv_lines[number - 1].split(",")
+            fields[ANALYZE_COLUMNS.index(column)] = str(value)
+            broken_csv = tmp_path / "broken.csv"
+            broken_csv.write_text(
+                "\n".join([*csv_lines[:number - 1], ",".join(fields), *csv_lines[number:]])
+                + "\n",
+                encoding="utf-8",
+            )
+            for broken, where in ((broken_csv, f"line {number}"), (broken_json, "row 2")):
+                for command in ("stats", "report"):
+                    assert main([
+                        command, "--results", str(broken), "--out", str(tmp_path / "o.csv"),
+                    ]) == 2
+                    assert (
+                        f"{broken} {where}: column '{column}' has value {value}, "
+                        f"expected {expected}\n"
+                    ) in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("command", ["stats", "report"])

@@ -25,7 +25,7 @@ from lexgrade.errors import (
     DegenerateTextError,
     ManifestError,
 )
-from lexgrade.indices import GRADE_FIELDS, grade_all
+from lexgrade.indices import GRADE_FIELDS, grade_metrics
 from lexgrade.segmenter import compute_metrics
 from lexgrade.stats import corpus_statistics, cronbach_alpha, per_year_aggregate
 
@@ -211,7 +211,7 @@ class TestAnalyzeDocument:
         text = (data_dir / "fixture_paragraph.txt").read_text()
         metrics, grades = analyze_document(record(), text)
         assert metrics == compute_metrics(clean_text(text))
-        assert grades == grade_all(clean_text(text))
+        assert grades == grade_metrics(clean_text(text))[1]
 
     def test_whitespace_only_carries_id(self):
         with pytest.raises(DegenerateTextError, match="32016R0679"):

@@ -14,7 +14,7 @@ from lexgrade.indices import (
     ari,
     coleman_liau,
     flesch_kincaid,
-    grade_all,
+    grade_metrics,
     linsear_write,
     smog,
 )
@@ -162,7 +162,7 @@ class TestLinsearWrite:
 
 class TestGradeAll:
     def test_cat(self):
-        gv = grade_all("The cat sat.")
+        gv = grade_metrics("The cat sat.")[1]
         assert gv == GradeVector(
             g1_flesch_kincaid=-2,
             g2_smog=4,
@@ -174,15 +174,15 @@ class TestGradeAll:
 
     def test_empty_raises(self):
         with pytest.raises(DegenerateTextError):
-            grade_all("")
+            grade_metrics("")[1]
 
     def test_golden_paragraph(self, data_dir):
         golden = json.loads((data_dir / "fixture_golden.json").read_text())
         text = (data_dir / "fixture_paragraph.txt").read_text()
-        assert vars(grade_all(text)) == golden["grades"]
+        assert vars(grade_metrics(text)[1]) == golden["grades"]
 
     def test_sum_variable_ignores_g4_g5(self):
-        gv = grade_all("The cat sat.")
+        gv = grade_metrics("The cat sat.")[1]
         assert gv.sum_variable == (gv.g1_flesch_kincaid + gv.g2_smog + gv.g3_ari) / 3
 
 

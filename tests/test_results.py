@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -29,25 +30,36 @@ _IDS = st.one_of(
     _PLAIN_IDS, _PLAIN_IDS, _PLAIN_IDS,
     st.text(st.sampled_from('ab,"\n\r# \t'), max_size=6),
 )
-# Cells that int() or float() refuse, or read though they are not plain
-# digits, and cells that JSON and int() read differently: JSON refuses
-# "007", "\x0c7", "NaN" and the bracket cells (the last by recursion
-# depth), reads "1E3" and "Infinity" as floats, and "1,2" (written quoted)
-# as two numbers.
+# Cells that are not one JSON number of an integer column, or that read
+# though they are not plain digits: JSON whitespace (" 7", "\t7") and "-0"
+# read, "1E3" and Python's "NaN" and "Infinity" read as floats, and "1,2"
+# (written quoted) as two numbers; the bracket cells fail, the last by
+# recursion depth. The long digit runs read as integers past 2**53 (the
+# first just inside it); the last is also past the 4300-digit limit that
+# Python 3.11 and later put on integer parsing.
 _BAD_CELLS = [
     "", " ", "x", "1.5", "nan", "inf", "true", "-", "+3", " 7", "1_0", "٣",
     "1e3", "0x10", "007", "-0", "\t7", "\x0c7", "[1", "7]", "NaN", "Infinity",
-    "1E3", "[" * 2000, "1,2",
+    "1E3", "[" * 2000, "1,2", str(2**53), str(-(2**53) - 1), "9" * 401, "9" * 5000,
 ]
+# Spellings that int() or float() read and JSON does not.
+_REFUSED = ["+3", "007", "1_0", "٣", "\x0c7", "nan", "inf", "+1.5", ".5"]
 # Cells at and just over the csv field-size limit; the one with commas
 # is written quoted.
 _LONG_CELLS = ["x" * _LIMIT, "x" * (_LIMIT + 1), "x," * (_LIMIT // 2 + 1)]
 _HEADER = ",".join(ANALYZE_COLUMNS)
 _ROW = "doc1,Regulation,2016,GeneralRules,4,60,90,10,300,290,50,10,7,8,9,10,11,8.0"
-# _ROW's values in integer spellings that int() reads and JSON does not.
+# _ROW's values in integer spellings that int() reads and JSON does not:
+# refused.
 _INT_ONLY_ROW = (
     "doc2,Regulation,+2016,GeneralRules,\x0c4,٦٠,90,1_0,0300,290,50,10,007,8,9,10,11,8.0"
 )
+# _ROW with a wrong derived column, with a year out of range, and with a
+# grade past 2**53: rows are checked in file order, and a derived column
+# wrong on an earlier row is named before a range error on a later one.
+_WRONG_HARD_ROW = _ROW.replace(",50,10,7,", ",50,11,7,")
+_YEAR_ROW = _ROW.replace(",2016,", ",999,")
+_HUGE_GRADE_ROW = _ROW.replace(",10,11,8.0", "," + "9" * 401 + ",11,8.0")
 _EXTRA_LINES = ["", "", "#", "# lexgrade_version: 9", "#k:v:w", "#\t", "   "]
 
 
@@ -142,11 +154,16 @@ class TestReadResultsReference:
         ("# only: meta\n\n", False),
         (_HEADER + "\n", False),
         (_HEADER + "\n" + "a\0b" + _ROW[len("doc1"):] + "\n", sys.version_info >= (3, 11)),
-        (_HEADER + "\n" + _ROW + "\n" + _INT_ONLY_ROW + "\n", True),
+        (_HEADER + "\n" + _ROW + "\n" + _INT_ONLY_ROW + "\n", False),
+        (_HEADER + "\n" + _ROW.replace(",8.0", ",8") + "\n", True),
+        (_HEADER + "\n" + _WRONG_HARD_ROW + "\n" + _YEAR_ROW + "\n", False),
+        (_HEADER + "\n" + _WRONG_HARD_ROW + "\n" + _HUGE_GRADE_ROW + "\n", False),
+        (_HEADER + "\n" + _ROW + "\n" + _HUGE_GRADE_ROW + "\n", False),
     ], ids=[
         "plain", "comments-crlf", "quoted-cr", "quoted-newlines", "long-row",
         "non-numeric", "over-limit", "at-limit", "no-header", "no-rows", "nul",
-        "int-only-spellings",
+        "int-only-spellings", "integer-sum-variable", "derived-then-year",
+        "derived-then-huge-grade", "huge-grade",
     ])
     def test_pinned_cases(self, path, text, reads):
         _write(path, text)
@@ -154,8 +171,10 @@ class TestReadResultsReference:
         assert outcome == _outcome(reference.read_results, str(path))
         assert isinstance(outcome, tuple) == reads
 
-    @pytest.mark.parametrize("column", ["year", "g1_flesch_kincaid"])
-    @pytest.mark.parametrize("cell", _BAD_CELLS, ids=[repr(c)[:12] for c in _BAD_CELLS])
+    @pytest.mark.parametrize("column", ["year", "g1_flesch_kincaid", "sum_variable"])
+    @pytest.mark.parametrize("cell", _BAD_CELLS, ids=[
+        f"{len(c)}-digits" if len(c) > 12 and c.isdigit() else repr(c)[:12] for c in _BAD_CELLS
+    ])
     def test_bad_cell_in_integer_column(self, path, column, cell):
         # Every bad cell, once each, among cells that JSON reads.
         row = _ROW.split(",")
@@ -165,3 +184,44 @@ class TestReadResultsReference:
         _write(path, _HEADER + "\n" + buffer.getvalue())
         outcome = _outcome(_read_results, str(path))
         assert outcome == _outcome(reference.read_results, str(path))
+
+    @pytest.mark.parametrize("column", ["g1_flesch_kincaid", "sum_variable"])
+    @pytest.mark.parametrize("cell", _REFUSED)
+    def test_int_or_float_only_spelling_refused(self, path, column, cell):
+        row = _ROW.split(",")
+        row[ANALYZE_COLUMNS.index(column)] = cell
+        _write(path, "\n".join([_HEADER, _ROW, ",".join(row), _ROW]) + "\n")
+        assert _outcome(_read_results, str(path)) == (
+            f"{path} line 3: column '{column}' has non-numeric value {cell!r}"
+        )
+        assert _outcome(reference.read_results, str(path)) == _outcome(_read_results, str(path))
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("bad, named", [
+    # A later column on an earlier row wins over an earlier column on a later row.
+    ([(2, "g5_linsear"), (3, "year")], (2, "g5_linsear")),
+    # Two bad cells in one row: the leftmost is named.
+    ([(2, "g2_smog"), (2, "year")], (2, "year")),
+], ids=["earlier-row", "leftmost"])
+def test_first_bad_cell_in_file_order(tmp_path, suffix, bad, named):
+    # Every bad cell is "x": text in a CSV file, a JSON string in a JSON file.
+    rows = [_ROW.split(",") for _ in range(3)]
+    for row, column in bad:
+        rows[row - 1][ANALYZE_COLUMNS.index(column)] = "x"
+    path = tmp_path / f"results{suffix}"
+    if suffix == ".json":
+        text_columns = ("id", "doc_type", "domain")
+        records = [
+            {c: v if c in text_columns or v == "x" else json.loads(v)
+             for c, v in zip(ANALYZE_COLUMNS, row)}
+            for row in rows
+        ]
+        path.write_text(json.dumps({"meta": {}, "rows": records}), encoding="utf-8")
+        where = f"row {named[0]}"
+    else:
+        path.write_text("\n".join([_HEADER, *map(",".join, rows)]) + "\n", encoding="utf-8")
+        where = f"line {named[0] + 1}"
+    assert _outcome(_read_results, str(path)) == (
+        f"{path} {where}: column '{named[1]}' has non-numeric value 'x'"
+    )
