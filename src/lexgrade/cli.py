@@ -69,6 +69,7 @@ ANALYZE_COLUMNS = (
     "sum_variable",
 )
 _WIDTH = len(ANALYZE_COLUMNS)
+_HEADER = ",".join(ANALYZE_COLUMNS)
 _COLUMN_SET = frozenset(ANALYZE_COLUMNS)
 
 
@@ -287,22 +288,14 @@ def _run_analyze(args: argparse.Namespace) -> int:
     return 1 if report.failures else 0
 
 
-def _check_header(path: str, header) -> None:
-    if header is None:
-        raise ResultsFormatError(f"{path}: no header row")
-    if tuple(header) != ANALYZE_COLUMNS:
-        raise ResultsFormatError(f"{path}: header does not match an analyze results file")
-
-
-def _field_count_error(path: str, number: int, count: int) -> ResultsFormatError:
-    return ResultsFormatError(
-        f"{path} line {number}: expected {_WIDTH} fields, got {count}"
-    )
-
-
 def _csv_cells(path: str, text: str) -> tuple[dict, list, list[int]]:
     """Meta, the cells of each column and each row's line number, from CSV text."""
     lines = text.split("\n")
+    if '"' in text:
+        number = next(n for n, line in enumerate(lines, 1) if '"' in line)
+        raise ResultsFormatError(
+            f"{path} line {number}: a '\"' is not allowed (analyze writes no quoted fields)"
+        )
     meta = {}
     for line in filter(methodcaller("startswith", "#"), lines):
         key, colon, value = line.lstrip("#").strip().partition(":")
@@ -310,60 +303,47 @@ def _csv_cells(path: str, text: str) -> tuple[dict, list, list[int]]:
             meta[key.strip()] = value.strip()
     line_numbers = [n for n, line in enumerate(lines, 1) if line and line[0] != "#"]
     data = [lines[n - 1] for n in line_numbers]
+    if not data:
+        raise ResultsFormatError(f"{path}: no header row")
 
+    limit = csv.field_size_limit()
+    commas = list(map(str.count, data, repeat(",")))
     if (
-        '"' in text
-        or "\0" in text
-        or max(map(len, data), default=0) > csv.field_size_limit()
+        data[0] != _HEADER
+        or commas.count(_WIDTH - 1) != len(commas)
+        or max(map(len, data)) > limit
     ):
-        # A quoted field may hold commas and line breaks, an over-long field
-        # is an error, and csv before Python 3.11 refuses a NUL: all three
-        # are csv.reader's to read.
-        return meta, *_csv_reader_cells(path, data, line_numbers)
-    _check_header(path, data[0].split(",") if data else None)
-    body = data[1:]
-    commas = list(map(str.count, body, repeat(",")))
-    if commas.count(_WIDTH - 1) != len(commas):
-        i = next(i for i, count in enumerate(commas) if count != _WIDTH - 1)
-        raise _field_count_error(path, line_numbers[i + 1], commas[i] + 1)
+        # Name the first bad line; in a line, an over-long field comes first.
+        for i, (number, line) in enumerate(zip(line_numbers, data)):
+            fields = line.split(",")
+            if max(map(len, fields)) > limit:
+                raise ResultsFormatError(
+                    f"{path} line {number}: field larger than field limit ({limit})"
+                )
+            if i == 0 and line != _HEADER:
+                raise ResultsFormatError(
+                    f"{path}: header does not match an analyze results file"
+                )
+            if len(fields) != _WIDTH:
+                raise ResultsFormatError(
+                    f"{path} line {number}: expected {_WIDTH} fields, got {len(fields)}"
+                )
     # Every row holds _WIDTH cells, so one split of the joined rows lays
     # them out row after row.
+    body = data[1:]
     cells = ",".join(body).split(",") if body else []
     return meta, [cells[i::_WIDTH] for i in range(_WIDTH)], line_numbers[1:]
-
-
-def _csv_reader_cells(
-    path: str, data: list[str], line_numbers: list[int]
-) -> tuple[list, list[int]]:
-    # One reader for all lines: a record starts where the last one ended.
-    reader = csv.reader(data)
-    rows, numbers = [], []
-    try:
-        _check_header(path, next(reader, None))
-        start = reader.line_num
-        for fields in reader:
-            if len(fields) != _WIDTH:
-                raise _field_count_error(path, line_numbers[start], len(fields))
-            rows.append(fields)
-            numbers.append(line_numbers[start])
-            start = reader.line_num
-    except csv.Error as exc:
-        raise ResultsFormatError(
-            f"{path} line {line_numbers[reader.line_num - 1]}: {exc}"
-        ) from None
-    return list(zip(*rows)), numbers
 
 
 def _read_results(path: str) -> tuple[dict, dict[str, list]]:
     """Read an analyze results file (CSV or JSON): meta and one typed list per column.
 
     CSV: `# key: value` lines anywhere are meta, blank lines are skipped,
-    and every other line is a header or row in csv's default dialect,
-    within csv.field_size_limit(). A file with no `"`, no NUL and no
-    over-long line is split on commas in one pass; others go through
-    csv.reader, since analyze quotes an id that holds a comma or quote.
-    Both give the same cells and the same errors. JSON: an object with a
-    'meta' object and a 'rows' list of objects keyed by ANALYZE_COLUMNS.
+    and every other line is the header or a row of comma-separated
+    fields, each within csv.field_size_limit(). The file is split on
+    commas in one pass. A file holding a `"` is refused: the manifest
+    admits no id that analyze would quote. JSON: an object with a 'meta'
+    object and a 'rows' list of objects keyed by ANALYZE_COLUMNS.
 
     Numbers are JSON numbers in both formats: one JSON integer per cell of
     an integer column, one JSON integer or float (never a bool) per

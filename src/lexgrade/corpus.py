@@ -119,6 +119,13 @@ def _parse_record(raw: dict, where: str, seen_ids: set[str]) -> DocumentRecord:
     if "\0" in doc_id:
         # No file name can hold a NUL: the text and cache paths come from ids.
         raise ManifestError(f"{where}: id must not hold a NUL character")
+    if not set(',"\r\n').isdisjoint(doc_id) or doc_id[0] == "#":
+        # analyze would quote such an id, or stats would read its results
+        # row as a `# key: value` metadata line.
+        raise ManifestError(
+            f"{where}: id {doc_id!r} must not hold a comma, a quote, CR or LF,"
+            " or start with '#'"
+        )
     if doc_id in seen_ids:
         raise ManifestError(f"{where}: duplicate id '{doc_id}'")
 
@@ -158,6 +165,11 @@ def load_manifest(path: str | Path) -> list[DocumentRecord]:
     CSV needs exactly the header id,doc_type,year,title,domain,source;
     JSON is a list of objects with the same keys. Errors carry the row
     number (CSV rows count from 2, after the header).
+
+    An id is stripped and must be non-empty and unique. It must not hold
+    a NUL, since it names a file, nor a comma, a quote, CR or LF, nor
+    start with '#': analyze then writes every id as a plain CSV cell, and
+    the results reader needs no quoting.
     """
     path = Path(path)
     suffix = path.suffix.lower()
@@ -188,7 +200,7 @@ def load_manifest(path: str | Path) -> list[DocumentRecord]:
     else:
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, list):
             raise ManifestError(f"{path}: expected a JSON list of objects")

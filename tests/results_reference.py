@@ -2,12 +2,14 @@
 
 A second spelling of lexgrade.cli._read_results for CSV files. It walks
 the file line by line, hands every data line to one csv.reader and keeps
-a list per row, whether or not the file holds a quote. Each numeric
-cell is read by its own json.loads and must give one number of its
-column's type: an int, or an int or float in sum_variable, never a bool.
-Every row is then checked in order for its year, its grades within
-2**53 and the columns that analyze derives from others. Tests compare
-the two on generated files. Nothing in the package imports this module.
+a list per row. Each numeric cell is read by its own json.loads and must
+give one number of its column's type: an int, or an int or float in
+sum_variable, never a bool. Every row is then checked in order for its
+year, its grades within 2**53 and the columns that analyze derives from
+others. Tests compare the two on generated files that hold no `"`, which
+_read_results refuses and csv.reader would unquote. csv.reader before
+Python 3.11 refuses a NUL, so the comparison needs 3.11 or later.
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations

@@ -128,12 +128,30 @@ class TestAnalyze:
             "id": "a\x00b", "doc_type": "COM", "year": 2016, "title": "T",
             "domain": "GeneralRules", "source": "a.txt",
         }]), encoding="utf-8")
+        # JSON nested past the parser's recursion limit.
+        deep_json = corpus / "deep.json"
+        deep_json.write_text("[" * 100_000, encoding="utf-8")
         expected = {
             latin1_csv: f"{latin1_csv}: not UTF-8 text",
             latin1_json: f"{latin1_json}: not UTF-8 text",
             nul_csv: f"{nul_csv} row 3: id must not hold a NUL character",
             nul_json: f"{nul_json} entry 1: id must not hold a NUL character",
+            deep_json: f"{deep_json}: invalid JSON (maximum recursion depth exceeded",
         }
+        # Ids that analyze would quote, or whose results row stats and
+        # report would read as a `#` metadata line.
+        bad_ids = ["do,c2", 'do"c2', "do\rc2", "do\nc2", "#1", "# linsear_mode: x"]
+        for n, doc_id in enumerate(bad_ids):
+            bad_csv, bad_json = corpus / f"id{n}.csv", corpus / f"id{n}.json"
+            quoted = '"' + doc_id.replace('"', '""') + '",'
+            bad_csv.write_bytes(MANIFEST.replace("doc2,", quoted).encode("utf-8"))
+            bad_json.write_text(json.dumps([{
+                "id": doc_id, "doc_type": "COM", "year": 2016, "title": "T",
+                "domain": "GeneralRules", "source": "a.txt",
+            }]), encoding="utf-8")
+            rule = f"id {doc_id!r} must not hold a comma, a quote, CR or LF, or start with '#'"
+            expected[bad_csv] = f"{bad_csv} row 3: {rule}"
+            expected[bad_json] = f"{bad_json} entry 1: {rule}"
         for manifest, message in expected.items():
             assert main([
                 "analyze", "--manifest", str(manifest),
@@ -323,15 +341,19 @@ class TestStats:
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
-        "first_field",
-        ['"doc2', '"' + "x" * 200_000 + '"', "x" * 200_000],
+        "first_field, message",
+        [
+            ('"doc2', "a '\"' is not allowed (analyze writes no quoted fields)"),
+            ('"' + "x" * 200_000 + '"', "a '\"' is not allowed (analyze writes no quoted fields)"),
+            ("x" * 200_000, "field larger than field limit (131072)"),
+        ],
         ids=["unclosed", "oversized", "oversized_unquoted"],
     )
     def test_unparsable_csv_row_names_its_line(
-        self, corpus, tmp_path, capsys, first_field
+        self, corpus, tmp_path, capsys, first_field, message
     ):
-        # An unclosed quote runs to the end of the file; a field past the
-        # csv module's size limit cannot be read at all, quoted or not.
+        # analyze never quotes a field, so a quote refuses the file; a field
+        # past the csv module's size limit is refused too.
         lines = _run_analyze(corpus).read_text(encoding="utf-8").splitlines()
         number = next(i for i, line in enumerate(lines, 1) if line.startswith("doc2,"))
         lines[number - 1] = first_field + lines[number - 1][len("doc2"):]
@@ -341,7 +363,7 @@ class TestStats:
             assert main([
                 command, "--results", str(broken), "--out", str(tmp_path / "o.csv"),
             ]) == 2
-            assert f"{broken} line {number}: " in capsys.readouterr().err
+            assert f"{broken} line {number}: {message}\n" in capsys.readouterr().err
 
     def test_csv_json_parity(self, corpus):
         results = _run_analyze(corpus)

@@ -1,4 +1,10 @@
-"""Reading results files: cli._read_results against the csv.reader oracle."""
+"""Reading results files: cli._read_results against the csv.reader oracle.
+
+The oracle reads quoted fields as csv.reader does, so it is compared on
+quote-free files only. A file holding a `"` must be refused, naming the
+first line that holds one: the manifest admits no id that analyze would
+quote.
+"""
 
 from __future__ import annotations
 
@@ -12,17 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexgrade.cli import ANALYZE_COLUMNS, _read_results
-from lexgrade.errors import ResultsFormatError
+from lexgrade.cli import ANALYZE_COLUMNS, _read_results, _write_table
+from lexgrade.corpus import MANIFEST_FIELDS, load_manifest
+from lexgrade.errors import ManifestError, ResultsFormatError
 
 sys.path.insert(0, str(Path(__file__).parent))
 import results_reference as reference  # noqa: E402
 
 _LIMIT = csv.field_size_limit()
 
-# Plain ids (three in four) take the one-pass split, except the one with
-# a NUL, which csv before Python 3.11 refuses; the others make analyze
-# quote them.
+# Plain ids (three in four) are written unquoted; a NUL is only a
+# character. The others are mostly written quoted, so their files are
+# refused.
 _PLAIN_IDS = st.sampled_from(
     ["32016R0679", "doc1", "a b", "", "#1", "é", "x\x00y", "\x1c\x85\u2028"]
 )
@@ -33,10 +40,10 @@ _IDS = st.one_of(
 # Cells that are not one JSON number of an integer column, or that read
 # though they are not plain digits: JSON whitespace (" 7", "\t7") and "-0"
 # read, "1E3" and Python's "NaN" and "Infinity" read as floats, and "1,2"
-# (written quoted) as two numbers; the bracket cells fail, the last by
-# recursion depth. The long digit runs read as integers past 2**53 (the
-# first just inside it); the last is also past the 4300-digit limit that
-# Python 3.11 and later put on integer parsing.
+# is written quoted, so its file is refused; the bracket cells fail, the
+# last by recursion depth. The long digit runs read as integers past 2**53
+# (the first just inside it); the last is also past the 4300-digit limit
+# that Python 3.11 and later put on integer parsing.
 _BAD_CELLS = [
     "", " ", "x", "1.5", "nan", "inf", "true", "-", "+3", " 7", "1_0", "٣",
     "1e3", "0x10", "007", "-0", "\t7", "\x0c7", "[1", "7]", "NaN", "Infinity",
@@ -45,7 +52,7 @@ _BAD_CELLS = [
 # Spellings that int() or float() read and JSON does not.
 _REFUSED = ["+3", "007", "1_0", "٣", "\x0c7", "nan", "inf", "+1.5", ".5"]
 # Cells at and just over the csv field-size limit; the one with commas
-# is written quoted.
+# is written quoted, so its file is refused.
 _LONG_CELLS = ["x" * _LIMIT, "x" * (_LIMIT + 1), "x," * (_LIMIT // 2 + 1)]
 _HEADER = ",".join(ANALYZE_COLUMNS)
 _ROW = "doc1,Regulation,2016,GeneralRules,4,60,90,10,300,290,50,10,7,8,9,10,11,8.0"
@@ -124,6 +131,15 @@ def _outcome(read, path):
         return str(exc)
 
 
+def _expected(path: Path):
+    """The oracle's outcome, or the refusal of a file that holds a quote."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    quoted = [n for n, line in enumerate(lines, 1) if '"' in line]
+    if not quoted:
+        return _outcome(reference.read_results, str(path))
+    return f"{path} line {quoted[0]}: a '\"' is not allowed (analyze writes no quoted fields)"
+
+
 def _write(path: Path, text: str) -> None:
     # A new file each time: rewriting a file in place can wait on a disk
     # flush (ext4's auto_da_alloc).
@@ -140,20 +156,20 @@ class TestReadResultsReference:
     @given(text=_results_text())
     def test_matches_reference(self, path, text):
         _write(path, text)
-        assert _outcome(_read_results, str(path)) == _outcome(reference.read_results, str(path))
+        assert _outcome(_read_results, str(path)) == _expected(path)
 
     @pytest.mark.parametrize("text, reads", [
         (_HEADER + "\n" + _ROW + "\n", True),
         ("# a: b\n\n" + _HEADER + "\r\n\r\n#x\r\n" + _ROW + "\r\n" + _ROW, True),
-        (_HEADER + "\r" + '"a,""b"""' + _ROW[len("doc1"):] + "\r", True),
-        (_HEADER + "\n" + '"a\n#b\n\nc"' + _ROW[len("doc1"):] + "\n", True),
+        (_HEADER + "\r" + '"a,""b"""' + _ROW[len("doc1"):] + "\r", False),
+        (_HEADER + "\n" + '"a\n#b\n\nc"' + _ROW[len("doc1"):] + "\n", False),
         (_HEADER + "\n" + _ROW + ",0\n", False),
         (_HEADER + "\n" + _ROW.replace(",2016,", ",twenty,") + "\n", False),
         (_HEADER + "\n" + "x" * (_LIMIT + 1) + _ROW[len("doc1"):] + "\n", False),
         (_HEADER + "\n" + "x" * _LIMIT + _ROW[len("doc1"):] + "\n", True),
         ("# only: meta\n\n", False),
         (_HEADER + "\n", False),
-        (_HEADER + "\n" + "a\0b" + _ROW[len("doc1"):] + "\n", sys.version_info >= (3, 11)),
+        (_HEADER + "\n" + "a\0b" + _ROW[len("doc1"):] + "\n", True),
         (_HEADER + "\n" + _ROW + "\n" + _INT_ONLY_ROW + "\n", False),
         (_HEADER + "\n" + _ROW.replace(",8.0", ",8") + "\n", True),
         (_HEADER + "\n" + _WRONG_HARD_ROW + "\n" + _YEAR_ROW + "\n", False),
@@ -168,7 +184,7 @@ class TestReadResultsReference:
     def test_pinned_cases(self, path, text, reads):
         _write(path, text)
         outcome = _outcome(_read_results, str(path))
-        assert outcome == _outcome(reference.read_results, str(path))
+        assert outcome == _expected(path)
         assert isinstance(outcome, tuple) == reads
 
     @pytest.mark.parametrize("column", ["year", "g1_flesch_kincaid", "sum_variable"])
@@ -182,8 +198,7 @@ class TestReadResultsReference:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows([_ROW.split(","), row, _ROW.split(",")])
         _write(path, _HEADER + "\n" + buffer.getvalue())
-        outcome = _outcome(_read_results, str(path))
-        assert outcome == _outcome(reference.read_results, str(path))
+        assert _outcome(_read_results, str(path)) == _expected(path)
 
     @pytest.mark.parametrize("column", ["g1_flesch_kincaid", "sum_variable"])
     @pytest.mark.parametrize("cell", _REFUSED)
@@ -225,3 +240,36 @@ def test_first_bad_cell_in_file_order(tmp_path, suffix, bad, named):
     assert _outcome(_read_results, str(path)) == (
         f"{path} {where}: column '{named[1]}' has non-numeric value 'x'"
     )
+
+
+# Any text, and text over the characters a CSV writer or reader treats
+# specially, stripped ones and line breaks that str.split("\n") keeps.
+_MANIFEST_IDS = st.one_of(
+    st.text(max_size=8),
+    st.text(st.sampled_from('ab,"\r\n#\0 \t\x1c\x85\u2028é'), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc_id=_MANIFEST_IDS)
+def test_manifest_ids_round_trip(tmp_path_factory, doc_id):
+    # Every id the manifest admits is written unquoted, on a line that is
+    # not a `#` metadata line, and is read back unchanged.
+    base = tmp_path_factory.mktemp("ids")
+    raw = dict(zip(MANIFEST_FIELDS, [doc_id, "COM", "2016", "T", "GeneralRules", "s"]))
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([MANIFEST_FIELDS, raw.values()])
+    (base / "m.csv").write_bytes(buffer.getvalue().encode("utf-8"))
+    (base / "m.json").write_text(json.dumps([raw]), encoding="utf-8")
+    for manifest in (base / "m.csv", base / "m.json"):
+        try:
+            (record,) = load_manifest(manifest)
+        except ManifestError:
+            continue
+        row = dict(zip(ANALYZE_COLUMNS, _ROW.split(",")), id=record.id)
+        out = base / "results.csv"
+        _write_table(str(out), "csv", {"linsear_mode": "windowed"}, ANALYZE_COLUMNS, [row])
+        text = out.read_text(encoding="utf-8")
+        assert '"' not in text
+        assert not text.split("\n")[-2].startswith("#")
+        assert _read_results(str(out))[1]["id"] == [record.id]
