@@ -163,8 +163,8 @@ def load_manifest(path: str | Path) -> list[DocumentRecord]:
     """Load and validate a manifest file (.csv or .json, UTF-8).
 
     CSV needs exactly the header id,doc_type,year,title,domain,source;
-    JSON is a list of objects with the same keys. Errors carry the row
-    number (CSV rows count from 2, after the header).
+    JSON is a list of objects with the same keys. Errors, csv module ones
+    included, carry the row number (CSV rows count from 2, after the header).
 
     An id is stripped and must be non-empty and unique. It must not hold
     a NUL, since it names a file, nor a comma, a quote, CR or LF, nor
@@ -184,19 +184,24 @@ def load_manifest(path: str | Path) -> list[DocumentRecord]:
 
     if suffix == ".csv":
         reader = csv.DictReader(io.StringIO(text, newline=""))
-        if reader.fieldnames is None:
-            raise ManifestError(f"{path}: empty manifest")
-        if sorted(reader.fieldnames) != sorted(MANIFEST_FIELDS):
-            raise ManifestError(
-                f"{path}: header must be exactly {', '.join(MANIFEST_FIELDS)}"
-                f" (got {', '.join(reader.fieldnames)})"
-            )
-        for i, raw in enumerate(reader, start=2):
-            if None in raw or None in raw.values():
-                raise ManifestError(f"{path} row {i}: wrong number of fields")
-            record = _parse_record(raw, f"{path} row {i}", seen)
-            seen.add(record.id)
-            records.append(record)
+        i = 0  # the last row read; the header is row 1
+        try:
+            if reader.fieldnames is None:
+                raise ManifestError(f"{path}: empty manifest")
+            if sorted(reader.fieldnames) != sorted(MANIFEST_FIELDS):
+                raise ManifestError(
+                    f"{path}: header must be exactly {', '.join(MANIFEST_FIELDS)}"
+                    f" (got {', '.join(reader.fieldnames)})"
+                )
+            i = 1
+            for i, raw in enumerate(reader, start=2):
+                if None in raw or None in raw.values():
+                    raise ManifestError(f"{path} row {i}: wrong number of fields")
+                record = _parse_record(raw, f"{path} row {i}", seen)
+                seen.add(record.id)
+                records.append(record)
+        except csv.Error as exc:
+            raise ManifestError(f"{path} row {i + 1}: {exc}") from None
     else:
         try:
             data = json.loads(text)

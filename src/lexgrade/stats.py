@@ -1,26 +1,31 @@
 """Corpus-level statistics: correlations, internal consistency, summaries.
 
-Sample (n-1) variances are used throughout, including inside Cronbach's
-alpha, and quantiles use linear interpolation between order statistics
-(the "type 7" convention); both choices are named in report output so
-published numbers are auditable. Correlations are computed on the
-truncated integer grades, not the raw formula values. Cronbach's alpha
-takes integer columns only and is exact: it uses integer sums.
+Every input is an integer: grades are truncated integers, and the sum
+variable is g1+g2+g3 with divisor 3 (3*sum_variable = g1+g2+g3). Other
+values raise StatisticsError. One exact integer moment table (each
+column's sum and S[i][j] = n*sum(x_i*x_j) - sum(x_i)*sum(x_j)) gives
+every mean, sample (n-1) standard deviation, Pearson correlation and
+Cronbach's alpha as one correctly rounded int/int division or square
+root of one. So correlations lie in [-1, 1] and identical columns give
+exactly 1.0. Correlations are computed on the truncated grades, not the
+raw formula values. Quantiles use linear interpolation between order
+statistics (type 7); both conventions are named in report output so
+published numbers are auditable. per_year_aggregate alone takes float
+values (report's per-year sum variable) and averages them with fsum.
 
 Grades come in as columns, one value per document: corpus_statistics
-takes a mapping from each of GRADE_FIELDS and "sum_variable" to its
-column, correlation_matrix the five grade columns in GRADE_FIELDS order.
-A results file read by the CLI is already in that shape; per-document
+takes a mapping from each of GRADE_FIELDS to its column, and
+correlation_matrix the five grade columns in GRADE_FIELDS order. A
+results file read by the CLI is already in that shape; per-document
 GradeVectors are transposed once, e.g.
-dict(zip((*GRADE_FIELDS, "sum_variable"), zip(*map(astuple, grades)))).
+dict(zip(GRADE_FIELDS, zip(*map(astuple, grades)))).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul, sub
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConstantInputError, DegenerateVarianceError, StatisticsError
@@ -90,27 +95,42 @@ class YearAggregate(NamedTuple):
     median: float
 
 
-def _centred(column: Sequence[float]) -> tuple[float, list[float], float]:
-    """Mean, deviations from it and their sum of squares (fsum: exactly rounded)."""
-    mean = math.fsum(column) / len(column)
-    deviations = list(map(sub, column, repeat(mean)))
-    return mean, deviations, math.fsum(map(pow, deviations, repeat(2)))
+def _moments(columns: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Each column's sum and S[i][j] = n*sum(x_i*x_j) - sum(x_i)*sum(x_j), as ints.
+
+    S[i][j] is n(n-1) times the sample covariance of columns i and j.
+    Raises StatisticsError if any value is not an integer.
+    """
+    try:
+        exact = [list(map(int, column)) for column in columns]
+    except (TypeError, ValueError, OverflowError):
+        exact = None
+    if exact != [list(column) for column in columns]:
+        raise StatisticsError("statistics need integer values")
+    n, sums = len(exact[0]), list(map(sum, exact))
+    table = [[0] * len(exact) for _ in exact]
+    for i, (x, sx) in enumerate(zip(exact, sums)):
+        for j in range(i, len(exact)):
+            table[i][j] = table[j][i] = n * sum(map(mul, x, exact[j])) - sx * sums[j]
+    return sums, table
 
 
-def _correlation(dx: list[float], sxx: float, dy: list[float], syy: float) -> float:
-    r = math.fsum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+def _sqrt(p: int, q: int) -> float:
+    """The square root of p/q (p >= 0, q > 0), correctly rounded."""
+    # Scale p/q by 4**s so its integer root has 56 bits or more, and set the
+    # root's last bit when it is inexact: its one rounding to float is exact.
+    s = max(0, (112 - p.bit_length() + q.bit_length()) // 2)
+    root = math.isqrt((p << 2 * s) // q)
+    return (root | (root * root * q != p << 2 * s)) / (1 << s)
 
 
-def correlation_matrix(
-    columns: Sequence[Sequence[float]], *, _centring=None
-) -> CorrelationMatrix:
-    """Pairwise Pearson matrix over the five grade columns.
+def correlation_matrix(columns: Sequence[Sequence[int]]) -> CorrelationMatrix:
+    """Pairwise Pearson matrix over the five integer grade columns.
 
     columns are in GRADE_FIELDS order; the matrix is in INDEX_LABELS
-    order. Each column is centred once and shared by its four pairs.
-    Raises ConstantInputError naming the offending column when any index
-    is constant across documents.
+    order. Each r is sign(S_ij) * sqrt(S_ij^2 / (S_ii * S_jj)). Raises
+    ConstantInputError naming the offending column when any index is
+    constant across documents.
     """
     if len(columns) != len(INDEX_LABELS):
         raise StatisticsError(f"need 5 grade columns, got {len(columns)}")
@@ -119,40 +139,25 @@ def correlation_matrix(
         raise StatisticsError("columns have unequal lengths")
     if n < 2:
         raise StatisticsError("need at least 2 documents")
-    centred = []
-    for label, (_, deviations, squares) in zip(
-        INDEX_LABELS, _centring or map(_centred, columns)
-    ):
-        if squares == 0:
-            raise ConstantInputError(
-                f"column '{label}' is constant; correlation undefined"
-            )
-        centred.append((deviations, squares))
-
-    size = len(INDEX_LABELS)
-    cells = [[1.0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            cells[i][j] = cells[j][i] = _correlation(*centred[i], *centred[j])
-    return CorrelationMatrix(
-        labels=INDEX_LABELS,
-        values=tuple(tuple(row) for row in cells),
+    _, table = _moments(columns)
+    variances = [row[i] for i, row in enumerate(table)]
+    for label, variance in zip(INDEX_LABELS, variances):
+        if variance == 0:
+            raise ConstantInputError(f"column '{label}' is constant; correlation undefined")
+    cells = tuple(
+        tuple(math.copysign(_sqrt(s * s, vi * vj), s) for s, vj in zip(row, variances))
+        for row, vi in zip(table, variances)
     )
-
-
-def _scaled_variance(column: Sequence[int]) -> int:
-    # n * sum(x^2) - (sum x)^2, which is n(n-1) times the sample variance.
-    return len(column) * sum(map(mul, column, column)) - sum(column) ** 2
+    return CorrelationMatrix(labels=INDEX_LABELS, values=cells)
 
 
 def cronbach_alpha(columns: Sequence[Sequence[int]]) -> float:
     """Cronbach's alpha over k integer measurement columns.
 
     alpha = (k/(k-1)) * (1 - sum(item variances) / variance(row sums))
-    with sample variances, each taken as the exact integer n*sum(x^2) -
-    (sum x)^2, so alpha is one correctly rounded int/int division and
-    identical columns give exactly 1.0. Values must be integral (grades
-    are truncated integers); any other value raises StatisticsError.
+    with sample variances: n(n-1) times them are sum(S_ii) and the sum of
+    every S_ij. So alpha is one int/int division and identical columns
+    give exactly 1.0.
     """
     k = len(columns)
     if k < 2:
@@ -162,81 +167,69 @@ def cronbach_alpha(columns: Sequence[Sequence[int]]) -> float:
         raise StatisticsError("need at least 2 rows")
     if any(len(c) != n for c in columns):
         raise StatisticsError("columns have unequal lengths")
-
-    try:
-        exact = [list(map(int, column)) for column in columns]
-    except (TypeError, ValueError, OverflowError):
-        exact = None
-    if exact != [list(column) for column in columns]:
-        raise StatisticsError("alpha needs integer values")
-    item_var = sum(map(_scaled_variance, exact))
-    total_var = _scaled_variance(list(map(sum, zip(*exact))))
+    _, table = _moments(columns)
+    item_var = sum(row[i] for i, row in enumerate(table))
+    total_var = sum(map(sum, table))
     if total_var == 0:
-        raise DegenerateVarianceError(
-            "total-score variance is zero; alpha undefined"
-        )
+        raise DegenerateVarianceError("total-score variance is zero; alpha undefined")
     return k * (total_var - item_var) / ((k - 1) * total_var)
 
 
-def _quantile(ordered: Sequence[float], p: float) -> float:
-    # Type 7: h = (n - 1) p, linear interpolation between floor/ceil ranks.
+def _quantile(ordered: Sequence[float], p: float, divisor: int = 1) -> float:
+    # Type 7 over ordered[k] / divisor: h = (n - 1) p, linear
+    # interpolation between floor/ceil ranks.
     h = (len(ordered) - 1) * p
-    lo = math.floor(h)
-    hi = math.ceil(h)
-    if lo == hi:
-        return float(ordered[lo])
-    return ordered[lo] + (h - lo) * (ordered[hi] - ordered[lo])
+    lo, hi = math.floor(h), math.ceil(h)
+    low = ordered[lo] / divisor
+    return low if lo == hi else low + (h - lo) * (ordered[hi] / divisor - low)
 
 
-def describe(values: Sequence[float], *, _centring=None) -> SummaryStats:
-    """Descriptive summary of a numeric vector (n >= 1)."""
+def describe(values: Sequence[int], divisor: int = 1) -> SummaryStats:
+    """Summary of the integer values, each divided by divisor (n >= 1)."""
     n = len(values)
     if n == 0:
         raise StatisticsError("cannot summarize an empty vector")
+    (total,), ((squares,),) = _moments([values])
     ordered = sorted(values)
-    mean, _, squares = _centring or _centred(values)
     return SummaryStats(
         n=n,
-        mean=mean,
-        standard_deviation=math.sqrt(squares / (n - 1)) if n > 1 else 0.0,
-        median=_quantile(ordered, 0.5),
-        q1=_quantile(ordered, 0.25),
-        q3=_quantile(ordered, 0.75),
-        min=float(ordered[0]),
-        max=float(ordered[-1]),
+        mean=total / (n * divisor),
+        standard_deviation=_sqrt(squares, n * (n - 1) * divisor**2) if n > 1 else 0.0,
+        median=_quantile(ordered, 0.5, divisor),
+        q1=_quantile(ordered, 0.25, divisor),
+        q3=_quantile(ordered, 0.75, divisor),
+        min=ordered[0] / divisor,
+        max=ordered[-1] / divisor,
     )
 
 
-def corpus_statistics(columns: Mapping[str, Sequence[float]]) -> CorpusStatistics:
+def corpus_statistics(columns: Mapping[str, Sequence[int]]) -> CorpusStatistics:
     """Summaries, Pearson correlations and FK/SMOG/ARI Cronbach alpha (n >= 1).
 
-    columns maps each of GRADE_FIELDS and "sum_variable" to one value per
-    document. Each grade column is centred once, for its summary and for
-    the correlations.
+    columns maps each of GRADE_FIELDS to one integer grade per document;
+    other keys are ignored. The sum variable is g1+g2+g3 over 3.
     """
     grades = [columns[field] for field in GRADE_FIELDS]
-    n = len(columns["sum_variable"])
+    n = len(grades[0])
     if any(len(column) != n for column in grades):
         raise StatisticsError("columns have unequal lengths")
     if n == 0:
         raise StatisticsError("cannot summarize an empty vector")
-    centring = list(map(_centred, grades))
-    summary = {
-        label: describe(column, _centring=centred)
-        for label, column, centred in zip(INDEX_LABELS, grades, centring)
-    }
-    summary["sum_variable"] = describe(columns["sum_variable"])
+    summary = {label: describe(column) for label, column in zip(INDEX_LABELS, grades)}
+    # Flesch-Kincaid, SMOG and ARI: the indices of the sum variable.
+    fk_smog_ari = grades[:3]
+    sums = [a + b + c for a, b, c in zip(*fk_smog_ari)]
+    summary["sum_variable"] = describe(sums, divisor=3)
     if n < 2:
         return CorpusStatistics(summary, None, "n < 2", None, "n < 2")
 
     correlations = correlations_note = alpha = alpha_note = None
     try:
-        correlations = correlation_matrix(grades, _centring=centring)
+        correlations = correlation_matrix(grades)
     except StatisticsError as exc:
         correlations_note = str(exc)
     try:
-        # Flesch-Kincaid, SMOG and ARI: the indices of the sum variable.
-        alpha = cronbach_alpha(grades[:3])
+        alpha = cronbach_alpha(fk_smog_ari)
     except StatisticsError as exc:
         alpha_note = str(exc)
     return CorpusStatistics(summary, correlations, correlations_note, alpha, alpha_note)

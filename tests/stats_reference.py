@@ -1,11 +1,14 @@
-"""Test oracle: Cronbach's alpha per cell in Fraction, Pearson pair by pair.
+"""Test oracle: alpha, Pearson and describe's mean and sd in exact Fractions.
 
-A second spelling of lexgrade.stats.cronbach_alpha and
-correlation_matrix for tests to compare against bit for bit. Alpha turns
-every cell into a Fraction and takes each sample variance as an exact
-rational; each correlation is one pearson call that centres both of its
-columns afresh. Tests compare pearson with one entry of
-correlation_matrix. Nothing in the package imports this module.
+A second spelling of lexgrade.stats.cronbach_alpha, correlation_matrix
+and describe's mean and standard deviation, for tests to compare
+against bit for bit. Every cell becomes a Fraction; variances and
+covariances come from deviations about the exact mean, not from the
+package's integer moment table. Each correlation is one pearson call
+on its own pair, and each square root is rounded by comparing Fraction
+midpoints between neighbouring floats, not by math.isqrt. Tests
+compare pearson with one entry of correlation_matrix. Nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
@@ -44,27 +47,57 @@ def cronbach_alpha(columns: Sequence[Sequence[float]]) -> float:
     return float(Fraction(k, k - 1) * (1 - item_var / total_var))
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation, three fsum passes over the pair."""
+def rounded_sqrt(value: Fraction) -> float:
+    """The float nearest the square root of value >= 0, ties to even.
+
+    Starts from math.sqrt and steps to a neighbour (math.nextafter) until
+    value lies between the squares of the Fraction midpoints on either
+    side. No integer square root is taken.
+    """
+    root = math.sqrt(value)
+    while True:
+        below, above = math.nextafter(root, 0), math.nextafter(root, math.inf)
+        low = ((Fraction(below) + Fraction(root)) / 2) ** 2
+        high = ((Fraction(root) + Fraction(above)) / 2) ** 2
+        odd = root > 0 and int(root / math.ulp(root)) % 2 == 1
+        if value < low or (value == low and odd):
+            root = below
+        elif value > high or (value == high and odd):
+            root = above
+        else:
+            return root
+
+
+def mean_and_sd(values: Sequence[Fraction]) -> tuple[float, float]:
+    """Mean and sample standard deviation (0.0 for one value), each from exact Fractions."""
+    exact = [Fraction(v) for v in values]
+    n = len(exact)
+    mean = sum(exact) / n
+    if n == 1:
+        return float(mean), 0.0
+    return float(mean), rounded_sqrt(sum((v - mean) ** 2 for v in exact) / (n - 1))
+
+
+def pearson(x: Sequence[int], y: Sequence[int]) -> float:
+    """Sample Pearson correlation of one pair: r**2 in Fractions, its root rounded once."""
     if len(x) != len(y):
         raise StatisticsError(f"length mismatch: {len(x)} vs {len(y)}")
     n = len(x)
     if n < 2:
         raise StatisticsError("need at least 2 observations")
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
-    syy = math.fsum((yi - mean_y) ** 2 for yi in y)
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mean_x, mean_y = sum(x) / n, sum(y) / n
+    sxx = sum((xi - mean_x) ** 2 for xi in x)
+    syy = sum((yi - mean_y) ** 2 for yi in y)
     if sxx == 0:
         raise ConstantInputError("first vector is constant; correlation undefined")
     if syy == 0:
         raise ConstantInputError("second vector is constant; correlation undefined")
-    sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
-    r = sxy / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+    sxy = sum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
+    return math.copysign(rounded_sqrt(sxy * sxy / (sxx * syy)), sxy)
 
 
-def correlation_values(columns: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
+def correlation_values(columns: Sequence[Sequence[int]]) -> tuple[tuple[float, ...], ...]:
     """Pearson matrix of non-constant columns, each pair computed on its own."""
     size = len(columns)
     cells = [[1.0] * size for _ in range(size)]

@@ -34,6 +34,7 @@ from lexgrade.segmenter import TextMetrics, compute_metrics, count_syllables, sc
 from lexgrade.stats import correlation_matrix, cronbach_alpha, describe
 
 sys.path.insert(0, str(Path(__file__).parent))
+import stats_reference as reference  # noqa: E402
 from synthetic import build_corpus  # noqa: E402
 
 from test_indices import (  # noqa: E402
@@ -158,31 +159,6 @@ def test_criterion_3_syllable_oracle():
 # --- 4. statistics oracle equivalence ----------------------------------------
 
 
-def _brute_mean(v):
-    return sum(v) / len(v)
-
-
-def _brute_var(v):
-    m = _brute_mean(v)
-    return sum((x - m) ** 2 for x in v) / (len(v) - 1)
-
-
-def _brute_pearson(x, y):
-    mx, my = _brute_mean(x), _brute_mean(y)
-    num = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    den = math.sqrt(
-        sum((a - mx) ** 2 for a in x) * sum((b - my) ** 2 for b in y)
-    )
-    return num / den
-
-
-def _brute_alpha(columns):
-    k = len(columns)
-    n = len(columns[0])
-    totals = [sum(column[i] for column in columns) for i in range(n)]
-    return (k / (k - 1)) * (1 - sum(_brute_var(c) for c in columns) / _brute_var(totals))
-
-
 def _brute_quantile(values, p):
     ordered = sorted(values)
     h = (len(ordered) - 1) * p
@@ -208,24 +184,21 @@ def test_criterion_4_statistics_oracle():
         if min(x) == max(x) or min(y) == max(y) or min(z) == max(z):
             continue
 
-        assert _pair_correlation(x, y) == pytest.approx(_brute_pearson(x, y), abs=1e-9)
+        assert _pair_correlation(x, y) == reference.pearson(x, y)
 
         try:
             got_alpha = cronbach_alpha([x, y, z])
         except DegenerateVarianceError:
             continue
-        assert got_alpha == pytest.approx(_brute_alpha([x, y, z]), abs=1e-9)
+        assert got_alpha == reference.cronbach_alpha([x, y, z])
 
         summary = describe(x)
-        assert summary.mean == pytest.approx(_brute_mean(x), abs=1e-9)
-        assert summary.standard_deviation == pytest.approx(
-            math.sqrt(_brute_var(x)), abs=1e-9
-        )
+        assert (summary.mean, summary.standard_deviation) == reference.mean_and_sd(x)
         for got, p in ((summary.q1, 0.25), (summary.median, 0.5), (summary.q3, 0.75)):
-            assert got == pytest.approx(_brute_quantile(x, p), abs=1e-9)
+            assert got == _brute_quantile(x, p)
         checked += 1
     assert checked >= 90
-    _ok(4, f"pearson/alpha/describe match brute force to 1e-9 on {checked} corpora")
+    _ok(4, f"pearson/alpha/describe equal the exact Fraction oracle on {checked} corpora")
 
 
 # --- 5. invariant suite -------------------------------------------------------
@@ -251,18 +224,19 @@ def test_criterion_5_invariants():
         k = rng.randint(1, 8)
         return " ".join(rng.choice(words) for _ in range(k)).capitalize() + "."
 
-    # Pearson positive-affine invariance
+    # Pearson positive-affine invariance, exact; a negative scale negates r
     for _ in range(200):
         n = rng.randint(3, 25)
         x = [rng.randint(-50, 50) for _ in range(n)]
         y = [rng.randint(-50, 50) for _ in range(n)]
         if min(x) == max(x) or min(y) == max(y):
             continue
-        a, c = rng.uniform(0.1, 20), rng.uniform(0.1, 20)
-        b, d = rng.uniform(-100, 100), rng.uniform(-100, 100)
-        assert _pair_correlation(
-            [a * v + b for v in x], [c * v + d for v in y]
-        ) == pytest.approx(_pair_correlation(x, y), abs=1e-9)
+        a, c = rng.randint(1, 20), rng.randint(1, 20)
+        b, d = rng.randint(-100, 100), rng.randint(-100, 100)
+        base = _pair_correlation(x, y)
+        y_moved = [c * v + d for v in y]
+        assert _pair_correlation([a * v + b for v in x], y_moved) == base
+        assert _pair_correlation([-a * v + b for v in x], y_moved) == -base
 
     # alpha <= 1 whenever defined
     for _ in range(200):

@@ -13,6 +13,9 @@ from lexgrade import __version__
 from lexgrade.cli import ANALYZE_COLUMNS, main
 from lexgrade.fetcher import DEFAULT_BASE_URL, MAX_CONCURRENCY, MAX_RETRIES
 
+sys.path.insert(0, str(Path(__file__).parent))
+import stats_reference  # noqa: E402
+
 MANIFEST = """id,doc_type,year,title,domain,source
 doc1,Regulation,1995,First,GeneralRules,doc1.txt
 doc2,Directive,1995,Second,ElectronicCommunications,doc2.txt
@@ -131,12 +134,16 @@ class TestAnalyze:
         # JSON nested past the parser's recursion limit.
         deep_json = corpus / "deep.json"
         deep_json.write_text("[" * 100_000, encoding="utf-8")
+        # A CSV field past csv.field_size_limit().
+        long_csv = corpus / "long.csv"
+        long_csv.write_text(MANIFEST.replace("Second", "x" * 200_000), encoding="utf-8")
         expected = {
             latin1_csv: f"{latin1_csv}: not UTF-8 text",
             latin1_json: f"{latin1_json}: not UTF-8 text",
             nul_csv: f"{nul_csv} row 3: id must not hold a NUL character",
             nul_json: f"{nul_json} entry 1: id must not hold a NUL character",
             deep_json: f"{deep_json}: invalid JSON (maximum recursion depth exceeded",
+            long_csv: f"{long_csv} row 3: field larger than field limit (131072)",
         }
         # Ids that analyze would quote, or whose results row stats and
         # report would read as a `#` metadata line.
@@ -229,30 +236,14 @@ class TestStats:
             "smog": [int(r["g2_smog"]) for r in rows],
             "ari": [int(r["g3_ari"]) for r in rows],
         }
-        # brute-force oracle straight from the definitions
-        def mean(v):
-            return sum(v) / len(v)
-
-        def var(v):
-            m = mean(v)
-            return sum((x - m) ** 2 for x in v) / (len(v) - 1)
-
-        def brute_pearson(x, y):
-            mx, my = mean(x), mean(y)
-            num = sum((a - mx) * (b - my) for a, b in zip(x, y))
-            den = (sum((a - mx) ** 2 for a in x) * sum((b - my) ** 2 for b in y)) ** 0.5
-            return num / den
-
+        # The exact Fraction oracle, bit for bit.
         got = payload["correlations"]
         fk_index = got["labels"].index("flesch_kincaid")
         smog_index = got["labels"].index("smog")
-        assert got["values"][fk_index][smog_index] == pytest.approx(
-            brute_pearson(g["flesch_kincaid"], g["smog"]), abs=1e-9
+        assert got["values"][fk_index][smog_index] == stats_reference.pearson(
+            g["flesch_kincaid"], g["smog"]
         )
-
-        totals = [sum(col[i] for col in g.values()) for i in range(len(rows))]
-        brute_alpha = (3 / 2) * (1 - sum(var(c) for c in g.values()) / var(totals))
-        assert payload["alpha"] == pytest.approx(brute_alpha, abs=1e-9)
+        assert payload["alpha"] == stats_reference.cronbach_alpha(list(g.values()))
         assert payload["meta"]["quantile_convention"].startswith("linear interpolation")
         assert payload["meta"]["linsear_mode"] == "windowed"
 

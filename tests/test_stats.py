@@ -73,10 +73,8 @@ class TestPearson:
         x, y = x[:n], y[:n]
         assume(min(x) != max(x) and min(y) != max(y))
         base = pair_correlation(x, y)
-        moved = pair_correlation([a * v + b for v in x], [c * v + d for v in y])
-        assert math.isclose(moved, base, rel_tol=1e-9, abs_tol=1e-9)
-        flipped = pair_correlation([-a * v + b for v in x], [c * v + d for v in y])
-        assert math.isclose(flipped, -base, rel_tol=1e-9, abs_tol=1e-9)
+        assert pair_correlation([a * v + b for v in x], [c * v + d for v in y]) == base
+        assert pair_correlation([-a * v + b for v in x], [c * v + d for v in y]) == -base
 
 
 class TestCorrelationMatrix:
@@ -132,6 +130,12 @@ class TestCronbachAlpha:
     def test_non_integral_value_raises(self, bad):
         with pytest.raises(StatisticsError, match="integer"):
             cronbach_alpha([[1, 2, 3], [1, bad, 4], [2, 2, 3]])
+        with pytest.raises(StatisticsError, match="integer"):
+            correlation_matrix(
+                grade_columns((1, 2, 3, 4, 5), (2, bad, 1, 5, 3), (3, 1, 2, 6, 4))
+            )
+        with pytest.raises(StatisticsError, match="integer"):
+            describe([1, bad, 4])
 
     @given(
         st.lists(
@@ -217,6 +221,15 @@ def _columns(k_min: int, k_max: int):
     )
 
 
+def type7(ordered, p):
+    """Type-7 quantile of sorted floats: the sum variable's, from its float column."""
+    h = (len(ordered) - 1) * p
+    lo, hi = math.floor(h), math.ceil(h)
+    if lo == hi:
+        return ordered[lo]
+    return ordered[lo] + (h - lo) * (ordered[hi] - ordered[lo])
+
+
 def _outcome(function, *args):
     try:
         return function(*args)
@@ -224,8 +237,46 @@ def _outcome(function, *args):
         return type(exc), str(exc)
 
 
+# Columns at the ends of the square root's scaling: two rows, whose
+# moments are small, and grades near +-10**9, whose moments are large.
+EDGE_COLUMNS = [
+    [[1, 2], [3, 5], [0, 7], [-4, 4], [9, 8]],
+    [[0, 1], [1, 0], [-1, 1], [5, 6], [2, 3]],
+    [
+        [10**9, -10**9, 10**9 - 1, -7],
+        [-10**9, 10**9 - 3, 1, 10**9],
+        [10**9, 10**9 - 1, -10**9, 10**9 - 2],
+        [3, -10**9 + 1, 10**9, -10**9],
+        [10**9 - 5, -10**9 + 5, 0, 10**9],
+    ],
+]
+
+
 class TestAgainstReference:
-    """Bit equality (==) with the Fraction alpha and the pair-by-pair Pearson."""
+    """Bit equality (==) with the Fraction oracle: alpha, Pearson, mean and sd."""
+
+    @pytest.mark.parametrize("columns", EDGE_COLUMNS)
+    def test_edge_columns(self, columns):
+        assert correlation_matrix(columns).values == reference.correlation_values(columns)
+        assert _outcome(cronbach_alpha, columns[:3]) == _outcome(
+            reference.cronbach_alpha, columns[:3]
+        )
+        for column in columns:
+            summary = describe(column)
+            assert (summary.mean, summary.standard_deviation) == reference.mean_and_sd(column)
+
+    @pytest.mark.parametrize("values", [[-10**20, 10**20, 3], [10**30, 1]])
+    def test_describe_past_grade_range(self, values):
+        # Variances of 2**110 and more: the square root needs no scaling.
+        summary = describe(values)
+        assert (summary.mean, summary.standard_deviation) == reference.mean_and_sd(values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_grade, min_size=1, max_size=25), st.sampled_from([1, 3]))
+    def test_describe(self, values, divisor):
+        summary = describe(values, divisor)
+        expected = reference.mean_and_sd([Fraction(v, divisor) for v in values])
+        assert (summary.mean, summary.standard_deviation) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(_columns(2, 6))
@@ -261,16 +312,23 @@ class TestAgainstReference:
         lambda n: st.lists(st.lists(_grade, min_size=n, max_size=n), min_size=5, max_size=5)
     ))
     def test_corpus_statistics(self, grades):
-        # Each grade column is centred once for its summary and the
-        # correlations; every figure must still equal the one computed alone.
-        sums = [(a + b + c) / 3 for a, b, c in zip(*grades[:3])]
-        columns = {**dict(zip(GRADE_FIELDS, grades)), "sum_variable": sums}
-        statistics = corpus_statistics(columns)
-
+        # The sum variable is g1+g2+g3 over 3. Its mean and sd equal the
+        # oracle's, and its order statistics those of the float column
+        # (a+b+c)/3 that analyze writes.
+        statistics = corpus_statistics(dict(zip(GRADE_FIELDS, grades)))
+        sums = [a + b + c for a, b, c in zip(*grades[:3])]
         assert statistics.summary == {
             **{label: describe(column) for label, column in zip(INDEX_LABELS, grades)},
-            "sum_variable": describe(sums),
+            "sum_variable": describe(sums, divisor=3),
         }
+        summary = statistics.summary["sum_variable"]
+        thirds = sorted(s / 3 for s in sums)
+        assert (summary.mean, summary.standard_deviation) == reference.mean_and_sd(
+            [Fraction(s, 3) for s in sums]
+        )
+        assert (summary.median, summary.q1, summary.q3, summary.min, summary.max) == (
+            type7(thirds, 0.5), type7(thirds, 0.25), type7(thirds, 0.75), thirds[0], thirds[-1]
+        )
         if len(sums) < 2:
             assert (statistics.correlations, statistics.correlations_note) == (None, "n < 2")
             assert (statistics.alpha, statistics.alpha_note) == (None, "n < 2")
