@@ -84,9 +84,9 @@ _KINDS = tuple(
 )
 
 #: Per range-checked column: its bounds and what an error says is expected.
-#: stats takes grades as floats, which hold every integer up to 2**53
-#: exactly; far larger grades overflow its sums and the sum variable's
-#: division.
+#: A float holds every integer up to 2**53 exactly: sum_variable is a float
+#: that must equal (g1+g2+g3)/3, and stats and report print floats. A far
+#: larger grade overflows that division.
 _RANGES = (
     ("year", 1000, 9999, "a 4-digit year"),
     *((f, -2**53, 2**53, "a grade between -2**53 and 2**53") for f in GRADE_FIELDS),
@@ -465,7 +465,7 @@ def _run_stats(args: argparse.Namespace) -> int:
 
 def _run_report(args: argparse.Namespace) -> int:
     meta, columns = _read_results(args.results)
-    aggregate = per_year_aggregate(list(zip(columns["year"], columns["sum_variable"])))
+    aggregate = per_year_aggregate(columns)
     out_rows = [
         {"year": a.year, "count": a.count, "mean": a.mean, "median": a.median}
         for a in aggregate

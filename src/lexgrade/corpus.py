@@ -96,9 +96,9 @@ class CorpusReport:
     """Per-document results: graded rows and failures, in manifest order.
 
     Corpus-level statistics over the rows' grades come from
-    stats.corpus_statistics and stats.per_year_aggregate. The first
-    takes grade columns, not rows: transpose the rows' GradeVectors once
-    (see the stats module docstring).
+    stats.corpus_statistics and stats.per_year_aggregate. Both take
+    columns, not rows: transpose the rows' GradeVectors once (see the
+    stats module docstring); per_year_aggregate also needs a "year" column.
     """
 
     rows: list[ReportRow]
@@ -162,9 +162,10 @@ def _parse_record(raw: dict, where: str, seen_ids: set[str]) -> DocumentRecord:
 def load_manifest(path: str | Path) -> list[DocumentRecord]:
     """Load and validate a manifest file (.csv or .json, UTF-8).
 
-    CSV needs exactly the header id,doc_type,year,title,domain,source;
-    JSON is a list of objects with the same keys. Errors, csv module ones
-    included, carry the row number (CSV rows count from 2, after the header).
+    CSV needs exactly the header id,doc_type,year,title,domain,source and
+    no NUL; JSON is a list of objects with the same keys. Errors, csv
+    module ones included, carry the row number (CSV rows count from 2,
+    after the header), and a NUL its line number.
 
     An id is stripped and must be non-empty and unique. It must not hold
     a NUL, since it names a file, nor a comma, a quote, CR or LF, nor
@@ -183,6 +184,10 @@ def load_manifest(path: str | Path) -> list[DocumentRecord]:
     seen: set[str] = set()
 
     if suffix == ".csv":
+        if "\0" in text:
+            # csv itself refuses a NUL on Python 3.10 only: say the same on all.
+            line = text.count("\n", 0, text.index("\0")) + 1
+            raise ManifestError(f"{path} line {line}: a NUL character is not allowed")
         reader = csv.DictReader(io.StringIO(text, newline=""))
         i = 0  # the last row read; the header is row 1
         try:

@@ -7,16 +7,16 @@ in the same pass. Every raw value is truncated UP to the nearest integer
 for any document size. Flesch-Kincaid, ARI and Coleman-Liau are each one
 integer ceiling division: their decimal constants are scaled to integers
 over a common denominator of the counts. SMOG's square root is decided
-by an integer square root, and Linsear averages exact fractions. No
-binary rounding enters, so a raw value that is an integer gains no
-spurious +1, and one a hair above an integer still rounds up.
+by an integer square root, and Linsear's mean window score is one
+integer ceiling over the windows' common denominator. No binary rounding
+enters: an integer raw value gains no spurious +1, and one a hair above
+an integer still rounds up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateTextError
 from .segmenter import TextMetrics, scan
@@ -110,17 +110,15 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown linsear mode {mode!r}; expected one of {LINSEAR_MODES}")
 
 
-def _sample_score(window: list[tuple[int, bool]]) -> Fraction:
-    """Scaled Linsear score of one window of (syllables, ends_sentence) words."""
-    hard = sum(syllables >= 3 for syllables, _ in window)
-    easy = len(window) - hard
+def _sample_score(window: list[tuple[int, bool]]) -> tuple[int, int]:
+    """Scaled Linsear score, as (num, den), of (syllables, ends_sentence) words."""
+    # One point per word, two more per hard word; points/s is halved when
+    # above 20 and has 2 taken off first otherwise, so den is 2s.
+    points = len(window) + 2 * sum(syllables >= 3 for syllables, _ in window)
     # The window's sentences end at its own words; an unterminated tail
     # (or a heading-only window) counts as one more.
-    sentences = sum(ends for _, ends in window) + (not window[-1][1])
-    score = Fraction(easy * 1 + hard * 3, sentences)
-    if score > 20:
-        return score / 2
-    return (score - 2) / 2
+    s = sum(ends for _, ends in window) + (not window[-1][1])
+    return points - 2 * s * (points <= 20 * s), 2 * s
 
 
 def _windows(words: list) -> list[list]:
@@ -150,10 +148,11 @@ def linsear_write(words: list[tuple[int, bool]], mode: str = "windowed") -> int:
     _check_mode(mode)
     if not words:
         raise DegenerateTextError("text has no measurable prose: no word tokens")
-    if mode == "compat":
-        return math.ceil(_sample_score(words[:100]))
-    scores = [_sample_score(window) for window in _windows(words)]
-    return math.ceil(sum(scores) / len(scores))
+    windows = [words[:100]] if mode == "compat" else _windows(words)
+    scores = [_sample_score(window) for window in windows]
+    # The ceiling of the mean score, over the scores' least common denominator.
+    common = math.lcm(*(den for _, den in scores))
+    return -(-sum(num * (common // den) for num, den in scores) // (len(scores) * common))
 
 
 def grade_metrics(text: str, mode: str = "windowed") -> tuple[TextMetrics, GradeVector]:

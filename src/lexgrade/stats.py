@@ -9,9 +9,9 @@ Cronbach's alpha as one correctly rounded int/int division or square
 root of one. So correlations lie in [-1, 1] and identical columns give
 exactly 1.0. Correlations are computed on the truncated grades, not the
 raw formula values. Quantiles use linear interpolation between order
-statistics (type 7); both conventions are named in report output so
-published numbers are auditable. per_year_aggregate alone takes float
-values (report's per-year sum variable) and averages them with fsum.
+statistics (type 7), each one int/int division too; both conventions
+are named in report output so published numbers are auditable.
+per_year_aggregate summarises each year's g1+g2+g3 with describe.
 
 Grades come in as columns, one value per document: corpus_statistics
 takes a mapping from each of GRADE_FIELDS to its column, and
@@ -175,13 +175,11 @@ def cronbach_alpha(columns: Sequence[Sequence[int]]) -> float:
     return k * (total_var - item_var) / ((k - 1) * total_var)
 
 
-def _quantile(ordered: Sequence[float], p: float, divisor: int = 1) -> float:
-    # Type 7 over ordered[k] / divisor: h = (n - 1) p, linear
-    # interpolation between floor/ceil ranks.
-    h = (len(ordered) - 1) * p
-    lo, hi = math.floor(h), math.ceil(h)
-    low = ordered[lo] / divisor
-    return low if lo == hi else low + (h - lo) * (ordered[hi] / divisor - low)
+def _quantile(ordered: Sequence[int], quarters: int, divisor: int) -> float:
+    # Type 7 at p = quarters/4 over ordered[k] / divisor: (n - 1) p is
+    # lo + f/4, and ordered[lo] and ordered[lo + 1] weigh 4 - f and f.
+    lo, f = divmod((len(ordered) - 1) * quarters, 4)
+    return (ordered[lo] * (4 - f) + ordered[lo + (f > 0)] * f) / (4 * divisor)
 
 
 def describe(values: Sequence[int], divisor: int = 1) -> SummaryStats:
@@ -195,12 +193,17 @@ def describe(values: Sequence[int], divisor: int = 1) -> SummaryStats:
         n=n,
         mean=total / (n * divisor),
         standard_deviation=_sqrt(squares, n * (n - 1) * divisor**2) if n > 1 else 0.0,
-        median=_quantile(ordered, 0.5, divisor),
-        q1=_quantile(ordered, 0.25, divisor),
-        q3=_quantile(ordered, 0.75, divisor),
+        median=_quantile(ordered, 2, divisor),
+        q1=_quantile(ordered, 1, divisor),
+        q3=_quantile(ordered, 3, divisor),
         min=ordered[0] / divisor,
         max=ordered[-1] / divisor,
     )
+
+
+def _sum_column(columns: Mapping[str, Sequence[int]]) -> list[int]:
+    """g1+g2+g3 (FK, SMOG and ARI) per document: 3 times its sum variable."""
+    return [a + b + c for a, b, c in zip(*(columns[f] for f in GRADE_FIELDS[:3]))]
 
 
 def corpus_statistics(columns: Mapping[str, Sequence[int]]) -> CorpusStatistics:
@@ -216,10 +219,7 @@ def corpus_statistics(columns: Mapping[str, Sequence[int]]) -> CorpusStatistics:
     if n == 0:
         raise StatisticsError("cannot summarize an empty vector")
     summary = {label: describe(column) for label, column in zip(INDEX_LABELS, grades)}
-    # Flesch-Kincaid, SMOG and ARI: the indices of the sum variable.
-    fk_smog_ari = grades[:3]
-    sums = [a + b + c for a, b, c in zip(*fk_smog_ari)]
-    summary["sum_variable"] = describe(sums, divisor=3)
+    summary["sum_variable"] = describe(_sum_column(columns), divisor=3)
     if n < 2:
         return CorpusStatistics(summary, None, "n < 2", None, "n < 2")
 
@@ -229,31 +229,26 @@ def corpus_statistics(columns: Mapping[str, Sequence[int]]) -> CorpusStatistics:
     except StatisticsError as exc:
         correlations_note = str(exc)
     try:
-        alpha = cronbach_alpha(fk_smog_ari)
+        alpha = cronbach_alpha(grades[:3])
     except StatisticsError as exc:
         alpha_note = str(exc)
     return CorpusStatistics(summary, correlations, correlations_note, alpha, alpha_note)
 
 
-def per_year_aggregate(
-    records: Sequence[tuple[int, float]],
-) -> list[YearAggregate]:
-    """Per-year count/mean/median of a value, one row per year, ascending."""
-    buckets: dict[int, list[float]] = {}
-    for year, value in records:
+def per_year_aggregate(columns: Mapping[str, Sequence[int]]) -> list[YearAggregate]:
+    """Per-year count, mean and median of the sum variable, years ascending.
+
+    columns maps "year" and the first three of GRADE_FIELDS to one
+    integer per document, as for corpus_statistics; each year's
+    g1+g2+g3 is summarised by describe with divisor 3.
+    """
+    years = columns["year"]
+    if any(len(columns[field]) != len(years) for field in GRADE_FIELDS[:3]):
+        raise StatisticsError("columns have unequal lengths")
+    buckets: dict[int, list[int]] = {}
+    for year, total in zip(years, _sum_column(columns)):
         if not isinstance(year, int) or isinstance(year, bool) or not 1000 <= year <= 9999:
             raise StatisticsError(f"invalid year {year!r}: expected a 4-digit integer")
-        buckets.setdefault(year, []).append(value)
-    rows = []
-    for year in sorted(buckets):
-        values = buckets[year]
-        ordered = sorted(values)
-        rows.append(
-            YearAggregate(
-                year=year,
-                count=len(values),
-                mean=math.fsum(values) / len(values),
-                median=_quantile(ordered, 0.5),
-            )
-        )
-    return rows
+        buckets.setdefault(year, []).append(total)
+    summaries = {year: describe(buckets[year], divisor=3) for year in sorted(buckets)}
+    return [YearAggregate(year, s.n, s.mean, s.median) for year, s in summaries.items()]

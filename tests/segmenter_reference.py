@@ -4,8 +4,9 @@ A second, independent spelling of the counts that lexgrade.segmenter.scan
 and lexgrade.indices.linsear_write compute in one pass, for tests to
 compare against. Sentence boundaries come from a regex over the whole
 text with a backward scan for abbreviations; each Linsear window is
-joined back into a string and segmented again. Nothing in the package
-imports this module.
+joined back into a string and segmented again. linsear_words scores
+scanned words instead, with each window's score an exact Fraction.
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -127,4 +128,25 @@ def linsear_write(text: str, mode: str = "windowed") -> int:
     if mode == "compat":
         return math.ceil(_sample_score(tokens[:100]))
     scores = [_sample_score(window) for window in _windows(tokens)]
+    return math.ceil(sum(scores) / len(scores))
+
+
+def _word_score(window: list[tuple[int, bool]]) -> Fraction:
+    """Scaled Linsear score of one window of (syllables, ends_sentence) words."""
+    hard = sum(syllables >= 3 for syllables, _ in window)
+    easy = len(window) - hard
+    # The window's sentences end at its own words; an unterminated tail
+    # (or a heading-only window) counts as one more.
+    sentences = sum(ends for _, ends in window) + (not window[-1][1])
+    score = Fraction(easy * 1 + hard * 3, sentences)
+    if score > 20:
+        return score / 2
+    return (score - 2) / 2
+
+
+def linsear_words(words: list[tuple[int, bool]], mode: str = "windowed") -> int:
+    """Linsear Write of segmenter.scan's words: the ceiling of the Fraction mean score."""
+    if mode == "compat":
+        return math.ceil(_word_score(words[:100]))
+    scores = [_word_score(window) for window in _windows(words)]
     return math.ceil(sum(scores) / len(scores))

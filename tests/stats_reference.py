@@ -1,14 +1,15 @@
-"""Test oracle: alpha, Pearson and describe's mean and sd in exact Fractions.
+"""Test oracle: alpha, Pearson, describe and the per-year summary in Fractions.
 
-A second spelling of lexgrade.stats.cronbach_alpha, correlation_matrix
-and describe's mean and standard deviation, for tests to compare
-against bit for bit. Every cell becomes a Fraction; variances and
-covariances come from deviations about the exact mean, not from the
-package's integer moment table. Each correlation is one pearson call
-on its own pair, and each square root is rounded by comparing Fraction
-midpoints between neighbouring floats, not by math.isqrt. Tests
-compare pearson with one entry of correlation_matrix. Nothing in the
-package imports this module.
+A second spelling of lexgrade.stats.cronbach_alpha, correlation_matrix,
+describe's mean, standard deviation and quantiles, and
+per_year_aggregate, for tests to compare against bit for bit. Every
+cell becomes a Fraction; variances and covariances come from
+deviations about the exact mean, not from the package's integer moment
+table. Each correlation is one pearson call on its own pair, and each
+square root is rounded by comparing Fraction midpoints between
+neighbouring floats, not by math.isqrt. Tests compare pearson with one
+entry of correlation_matrix. Nothing in the package imports this
+module.
 """
 
 from __future__ import annotations
@@ -105,3 +106,23 @@ def correlation_values(columns: Sequence[Sequence[int]]) -> tuple[tuple[float, .
         for j in range(i + 1, size):
             cells[i][j] = cells[j][i] = pearson(columns[i], columns[j])
     return tuple(tuple(row) for row in cells)
+
+
+def quantile(values: Sequence[Fraction], p: Fraction) -> float:
+    """Type-7 quantile: h = (n - 1) p, linear between the order statistics
+    at floor(h) and ceil(h), in Fractions and rounded once."""
+    ordered = sorted(map(Fraction, values))
+    h = (len(ordered) - 1) * p
+    lo, hi = math.floor(h), math.ceil(h)
+    return float(ordered[lo] + (h - lo) * (ordered[hi] - ordered[lo]))
+
+
+def per_year(years, g1, g2, g3) -> list[tuple[int, int, float, float]]:
+    """(year, count, mean, median) of Fraction(g1+g2+g3, 3), years ascending."""
+    buckets: dict[int, list[Fraction]] = {}
+    for year, a, b, c in zip(years, g1, g2, g3):
+        buckets.setdefault(year, []).append(Fraction(a + b + c, 3))
+    return [
+        (year, len(v), float(sum(v) / len(v)), quantile(v, Fraction(1, 2)))
+        for year, v in sorted(buckets.items())
+    ]

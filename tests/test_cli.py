@@ -123,9 +123,13 @@ class TestAnalyze:
         latin1_csv.write_bytes(MANIFEST.replace("First", "Premi\xe8re").encode("latin-1"))
         latin1_json = corpus / "latin1.json"
         latin1_json.write_bytes(b'[{"id": "doc1", "title": "\xff"}]')
-        # An id no file name can hold.
+        # An id no file name can hold, and a NUL in a CSV anywhere else.
         nul_csv = corpus / "nul.csv"
         nul_csv.write_text(MANIFEST.replace("doc2,", '"a\x00b",'), encoding="utf-8")
+        nul_title_csv = corpus / "nul_title.csv"
+        nul_title_csv.write_text(
+            MANIFEST.replace("Second", '"Sec\nond \x00 title"'), encoding="utf-8"
+        )
         nul_json = corpus / "nul.json"
         nul_json.write_text(json.dumps([{
             "id": "a\x00b", "doc_type": "COM", "year": 2016, "title": "T",
@@ -140,7 +144,8 @@ class TestAnalyze:
         expected = {
             latin1_csv: f"{latin1_csv}: not UTF-8 text",
             latin1_json: f"{latin1_json}: not UTF-8 text",
-            nul_csv: f"{nul_csv} row 3: id must not hold a NUL character",
+            nul_csv: f"{nul_csv} line 3: a NUL character is not allowed",
+            nul_title_csv: f"{nul_title_csv} line 4: a NUL character is not allowed",
             nul_json: f"{nul_json} entry 1: id must not hold a NUL character",
             deep_json: f"{deep_json}: invalid JSON (maximum recursion depth exceeded",
             long_csv: f"{long_csv} row 3: field larger than field limit (131072)",
@@ -727,6 +732,17 @@ print(sorted(network & set(sys.modules)))
         )
         assert out.stdout.strip() == "[]"
         assert (corpus / "y.csv").exists()
+
+    def test_import_does_not_load_fractions(self):
+        # Grades and statistics are integer arithmetic: no Fraction anywhere.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = "import sys, lexgrade.cli; print('fractions' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_warm_fetch_loads_no_network_stack(self, corpus, stub_repo):
         # A fetch whose every document is a cache hit makes no request, and

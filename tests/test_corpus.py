@@ -271,7 +271,7 @@ class TestAnalyzeCorpus:
             Fraction(sum(g1) + sum(g2) + sum(g3), 3 * 3)
         )
         by_year = per_year_aggregate(
-            [(r.record.year, r.grades.sum_variable) for r in report.rows]
+            {"year": [r.record.year for r in report.rows], **grade_columns(report.rows)}
         )
         assert [row.year for row in by_year] == [1995, 2016]
         assert by_year[0].count == 2

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexgrade.errors import DegenerateTextError
 from lexgrade.indices import (
+    LINSEAR_MODES,
     GradeVector,
     ari,
     coleman_liau,
@@ -19,6 +23,9 @@ from lexgrade.indices import (
     smog,
 )
 from lexgrade.segmenter import TextMetrics, scan
+
+sys.path.insert(0, str(Path(__file__).parent))
+import segmenter_reference as reference  # noqa: E402
 
 
 def metrics(
@@ -158,6 +165,29 @@ class TestLinsearWrite:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             linsear_write(scan("sun.")[1], "both")
+
+
+@st.composite
+def scanned_words(draw) -> list[tuple[int, bool]]:
+    """1-1,200 (syllables, ends_sentence) words, often at a window-merge edge."""
+    n = draw(st.integers(1, 1200) | st.sampled_from([100, 101, 149, 150, 151, 1149, 1150]))
+    # From one unterminated sentence per window (r > 20) to one per
+    # three words (r <= 20).
+    share = draw(st.sampled_from([0, 0.01, 0.04, 0.1, 0.35]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return [(rng.choice((1, 1, 2, 3, 4)), rng.random() < share) for _ in range(n)]
+
+
+class TestLinsearAgainstWordOracle:
+    """linsear_write equals the Fraction scorer over the same scanned words."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scanned_words(), st.sampled_from(LINSEAR_MODES))
+    # 100 one-syllable words in 5 sentences: r = 20 exactly, so (r - 2)/2.
+    @example([(1, i % 20 == 19) for i in range(100)], "windowed")
+    @example([(1, i % 20 == 19) for i in range(100)], "compat")
+    def test_matches_oracle(self, words, mode):
+        assert linsear_write(words, mode) == reference.linsear_words(words, mode)
 
 
 class TestGradeAll:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -181,32 +180,49 @@ class TestDescribe:
         assert describe(shuffled) == describe(values)
 
 
+def year_columns(*records: tuple[int, int, int, int]) -> dict[str, list[int]]:
+    """per_year_aggregate's columns from (year, g1, g2, g3) rows."""
+    keys = ("year", *GRADE_FIELDS[:3])
+    return {key: [record[i] for record in records] for i, key in enumerate(keys)}
+
+
 class TestPerYearAggregate:
     def test_example(self):
-        rows = per_year_aggregate([(1990, 30), (1990, 32), (2000, 28)])
+        # Sum variables 30, 32 and 28.
+        rows = per_year_aggregate(
+            year_columns((1990, 29, 30, 31), (1990, 33, 31, 32), (2000, 20, 30, 34))
+        )
         assert [tuple(r) for r in rows] == [
             (1990, 2, 31.0, 31.0),
             (2000, 1, 28.0, 28.0),
         ]
 
     def test_empty(self):
-        assert per_year_aggregate([]) == []
+        assert per_year_aggregate(year_columns()) == []
 
     def test_order_independent(self):
-        records = [(2001, 5.0), (1999, 1.0), (2001, 7.0), (1999, 3.0)]
-        assert per_year_aggregate(records) == per_year_aggregate(records[::-1])
+        records = [(2001, 5, 5, 5), (1999, 1, 1, 1), (2001, 7, 6, 8), (1999, 3, 2, 4)]
+        assert per_year_aggregate(year_columns(*records)) == per_year_aggregate(
+            year_columns(*records[::-1])
+        )
 
     def test_invalid_year(self):
         with pytest.raises(StatisticsError):
-            per_year_aggregate([(99, 1.0)])
+            per_year_aggregate(year_columns((99, 1, 1, 1)))
         with pytest.raises(StatisticsError):
-            per_year_aggregate([(12345, 1.0)])
+            per_year_aggregate(year_columns((12345, 1, 1, 1)))
 
     def test_counts_sum_to_input_length(self):
-        records = [(1990 + (i % 7), float(i)) for i in range(23)]
-        rows = per_year_aggregate(records)
+        records = [(1990 + (i % 7), i, i, i) for i in range(23)]
+        rows = per_year_aggregate(year_columns(*records))
         assert sum(r.count for r in rows) == len(records)
-        assert [r.year for r in rows] == sorted({y for y, _ in records})
+        assert [r.year for r in rows] == sorted({y for y, *_ in records})
+
+    def test_unequal_lengths(self):
+        columns = year_columns((1990, 1, 2, 3), (1991, 4, 5, 6))
+        columns["g2_smog"].pop()
+        with pytest.raises(StatisticsError, match="unequal lengths"):
+            per_year_aggregate(columns)
 
 
 # Integer grade columns, from small grades to values far past any grade.
@@ -221,13 +237,13 @@ def _columns(k_min: int, k_max: int):
     )
 
 
-def type7(ordered, p):
-    """Type-7 quantile of sorted floats: the sum variable's, from its float column."""
-    h = (len(ordered) - 1) * p
-    lo, hi = math.floor(h), math.ceil(h)
-    if lo == hi:
-        return ordered[lo]
-    return ordered[lo] + (h - lo) * (ordered[hi] - ordered[lo])
+QUARTERS = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
+
+
+def exact_quantiles(values, divisor=1) -> tuple[float, ...]:
+    """The oracle's median, q1 and q3 of values over divisor."""
+    exact = [Fraction(v, divisor) for v in values]
+    return tuple(reference.quantile(exact, p) for p in QUARTERS)
 
 
 def _outcome(function, *args):
@@ -253,7 +269,7 @@ EDGE_COLUMNS = [
 
 
 class TestAgainstReference:
-    """Bit equality (==) with the Fraction oracle: alpha, Pearson, mean and sd."""
+    """Bit equality (==) with the Fraction oracle: alpha, Pearson, summaries, years."""
 
     @pytest.mark.parametrize("columns", EDGE_COLUMNS)
     def test_edge_columns(self, columns):
@@ -277,6 +293,17 @@ class TestAgainstReference:
         summary = describe(values, divisor)
         expected = reference.mean_and_sd([Fraction(v, divisor) for v in values])
         assert (summary.mean, summary.standard_deviation) == expected
+        assert (summary.median, summary.q1, summary.q3) == exact_quantiles(values, divisor)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 25).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1990, 1994), min_size=n, max_size=n),
+        st.lists(st.lists(_grade, min_size=n, max_size=n), min_size=3, max_size=3),
+    )))
+    def test_per_year_aggregate(self, data):
+        years, grades = data
+        rows = per_year_aggregate(dict(zip(("year", *GRADE_FIELDS[:3]), (years, *grades))))
+        assert [tuple(row) for row in rows] == reference.per_year(years, *grades)
 
     @settings(max_examples=150, deadline=None)
     @given(_columns(2, 6))
@@ -312,9 +339,9 @@ class TestAgainstReference:
         lambda n: st.lists(st.lists(_grade, min_size=n, max_size=n), min_size=5, max_size=5)
     ))
     def test_corpus_statistics(self, grades):
-        # The sum variable is g1+g2+g3 over 3. Its mean and sd equal the
-        # oracle's, and its order statistics those of the float column
-        # (a+b+c)/3 that analyze writes.
+        # The sum variable is g1+g2+g3 over 3. Its mean, sd and quantiles
+        # equal the oracle's, and its min and max those of the float
+        # column (a+b+c)/3 that analyze writes.
         statistics = corpus_statistics(dict(zip(GRADE_FIELDS, grades)))
         sums = [a + b + c for a, b, c in zip(*grades[:3])]
         assert statistics.summary == {
@@ -326,9 +353,8 @@ class TestAgainstReference:
         assert (summary.mean, summary.standard_deviation) == reference.mean_and_sd(
             [Fraction(s, 3) for s in sums]
         )
-        assert (summary.median, summary.q1, summary.q3, summary.min, summary.max) == (
-            type7(thirds, 0.5), type7(thirds, 0.25), type7(thirds, 0.75), thirds[0], thirds[-1]
-        )
+        assert (summary.median, summary.q1, summary.q3) == exact_quantiles(sums, 3)
+        assert (summary.min, summary.max) == (thirds[0], thirds[-1])
         if len(sums) < 2:
             assert (statistics.correlations, statistics.correlations_note) == (None, "n < 2")
             assert (statistics.alpha, statistics.alpha_note) == (None, "n < 2")
