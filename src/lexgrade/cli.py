@@ -36,7 +36,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import asdict
 from itertools import repeat
 from operator import methodcaller
 from pathlib import Path
@@ -230,7 +229,7 @@ def _grade_row(row) -> dict:
         "letter_count": m.letter_count,
         "easy_word_count": m.word_count - m.polysyllable_count,
         "hard_word_count": m.polysyllable_count,
-        **asdict(g),
+        **g._asdict(),
     }
 
 
@@ -449,6 +448,7 @@ def _write_stats(path: str, fmt: str, payload: dict) -> None:
 def _run_stats(args: argparse.Namespace) -> int:
     meta, columns = _read_results(args.results)
     n = len(columns["sum_variable"])
+    result = corpus_statistics(columns)
     payload = {
         "meta": {
             "tool_version": __version__,
@@ -456,7 +456,11 @@ def _run_stats(args: argparse.Namespace) -> int:
             "quantile_convention": QUANTILE_CONVENTION,
             "n_documents": n,
         },
-        **asdict(corpus_statistics(columns)),
+        "summary": {label: s._asdict() for label, s in result.summary.items()},
+        "correlations": result.correlations and result.correlations._asdict(),
+        "correlations_note": result.correlations_note,
+        "alpha": result.alpha,
+        "alpha_note": result.alpha_note,
     }
     _write_stats(args.out, args.format, payload)
     print(f"stats over {n} documents written to {args.out}", file=sys.stderr)

@@ -15,10 +15,9 @@ import io
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import CorpusAnalysisError, DegenerateTextError, ManifestError
 from .indices import GradeVector, grade_metrics
@@ -68,8 +67,7 @@ _DOC_TYPES = {member.value: member for member in DocType}
 _DOMAINS = {member.value: member for member in Domain}
 
 
-@dataclass(frozen=True)
-class DocumentRecord:
+class DocumentRecord(NamedTuple):
     id: str
     doc_type: DocType
     year: int
@@ -78,27 +76,27 @@ class DocumentRecord:
     source: str
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     record: DocumentRecord
     metrics: TextMetrics
     grades: GradeVector
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     id: str
     reason: str
 
 
-@dataclass
-class CorpusReport:
+class CorpusReport(NamedTuple):
     """Per-document results: graded rows and failures, in manifest order.
 
-    Corpus-level statistics over the rows' grades come from
-    stats.corpus_statistics and stats.per_year_aggregate. Both take
-    columns, not rows: transpose the rows' GradeVectors once (see the
-    stats module docstring); per_year_aggregate also needs a "year" column.
+    Like every record in lexgrade, a CorpusReport is a NamedTuple: it
+    compares as a tuple and _asdict() gives its fields. Corpus-level
+    statistics over the rows' grades come from stats.corpus_statistics
+    and stats.per_year_aggregate. Both take columns, not rows: transpose
+    the rows' GradeVectors once, dict(zip(GRADE_FIELDS, zip(*grades)))
+    (see the stats module docstring); per_year_aggregate also needs a
+    "year" column.
     """
 
     rows: list[ReportRow]

@@ -25,8 +25,9 @@ environment variables are honoured by urllib's ProxyHandler. TLS checks
 certificates against the system CA store (SSL_CERT_FILE overrides it).
 Every request carries http.client's Accept-Encoding: identity, so pages
 arrive uncompressed, and opens its own connection: keep-alive is not
-attempted. urllib.request, http.client and ssl are imported only when a
-document misses the cache, so a fully cached fetch loads no network stack.
+attempted. urllib.request, http.client, ssl and datetime are imported
+only when a document misses the cache, so a fully cached fetch loads no
+network stack; only a miss stamps retrieved_at.
 """
 
 from __future__ import annotations
@@ -38,12 +39,10 @@ import tempfile
 import threading
 import time
 import urllib.error
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from . import __version__
@@ -77,10 +76,7 @@ _USER_AGENT = f"lexgrade/{__version__} (readability corpus fetcher)"
 _CELEX = re.compile(r"^[0-9]\d{4}[A-Z]{1,2}\d{1,5}$")
 
 
-@dataclass(frozen=True)
-class FetchSettings:
-    """Network and politeness configuration."""
-
+class _FetchFields(NamedTuple):
     base_url: str = DEFAULT_BASE_URL
     delay_ms: int = 1000
     concurrency: int = 1
@@ -88,7 +84,14 @@ class FetchSettings:
     timeout_s: float = 30.0
     user_agent: str = _USER_AGENT
 
-    def __post_init__(self) -> None:
+
+class FetchSettings(_FetchFields):
+    """Network and politeness configuration, checked whenever one is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> FetchSettings:
+        self = super().__new__(cls, *args, **kwargs)
         try:
             parts = urlsplit(self.base_url)
         except ValueError:  # e.g. an unclosed IPv6 bracket
@@ -105,6 +108,12 @@ class FetchSettings:
             raise LexgradeError(
                 f"retries must be at most {MAX_RETRIES}, got {self.retries}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> FetchSettings:
+        # namedtuple's _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
 class FetchStatus(Enum):
@@ -114,8 +123,7 @@ class FetchStatus(Enum):
     TRANSPORT_ERROR = "TransportError"
 
 
-@dataclass(frozen=True)
-class FetchResult:
+class FetchResult(NamedTuple):
     id: str
     status: FetchStatus
     text_path: Path | None = None
@@ -286,9 +294,10 @@ def fetch_document(
         meta_path.unlink()
 
     # Imported past the cache hit: together with ssl they are most of this
-    # module's import time, and a hit makes no request.
+    # module's import time, and a hit makes no request or timestamp.
     import http.client
     import urllib.request
+    from datetime import datetime, timezone
 
     cache_dir.mkdir(parents=True, exist_ok=True)
     limiter = _limiter or _RateLimiter(settings.delay_ms / 1000.0)

@@ -16,7 +16,7 @@ an integer still rounds up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateTextError
 from .segmenter import TextMetrics, scan
@@ -38,19 +38,7 @@ __all__ = [
 LINSEAR_MODES = ("windowed", "compat")
 
 
-#: The five grade fields of GradeVector, in index order; the only place
-#: the index names are spelled out.
-GRADE_FIELDS = (
-    "g1_flesch_kincaid",
-    "g2_smog",
-    "g3_ari",
-    "g4_coleman_liau",
-    "g5_linsear",
-)
-
-
-@dataclass(frozen=True)
-class GradeVector:
+class GradeVector(NamedTuple):
     """The five truncated grades plus the three-index sum variable.
 
     sum_variable is the arithmetic mean of the Flesch-Kincaid, SMOG and
@@ -63,6 +51,11 @@ class GradeVector:
     g4_coleman_liau: int
     g5_linsear: int
     sum_variable: float
+
+
+#: The five grade fields of GradeVector, in index order. GradeVector is
+#: the only place the index names are spelled out.
+GRADE_FIELDS = GradeVector._fields[:5]
 
 
 def _require(condition: bool, what: str) -> None:

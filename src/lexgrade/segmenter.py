@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "TextMetrics",
@@ -50,8 +50,7 @@ _VOWELS = frozenset("aeiouy")
 _OPENERS = "\"'([{‘“«"
 
 
-@dataclass(frozen=True)
-class TextMetrics:
+class TextMetrics(NamedTuple):
     """Raw counts for one text.
 
     characters are alphanumeric characters inside word tokens (what ARI

@@ -17,14 +17,12 @@ Grades come in as columns, one value per document: corpus_statistics
 takes a mapping from each of GRADE_FIELDS to its column, and
 correlation_matrix the five grade columns in GRADE_FIELDS order. A
 results file read by the CLI is already in that shape; per-document
-GradeVectors are transposed once, e.g.
-dict(zip(GRADE_FIELDS, zip(*map(astuple, grades)))).
+GradeVectors are transposed once, e.g. dict(zip(GRADE_FIELDS, zip(*grades))).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
@@ -52,16 +50,14 @@ INDEX_LABELS = tuple(field.split("_", 1)[1] for field in GRADE_FIELDS)
 QUANTILE_CONVENTION = "linear interpolation between order statistics (type 7)"
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     """Symmetric Pearson matrix over the five grade columns."""
 
     labels: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     n: int
     mean: float
     standard_deviation: float
@@ -72,8 +68,7 @@ class SummaryStats:
     max: float
 
 
-@dataclass(frozen=True)
-class CorpusStatistics:
+class CorpusStatistics(NamedTuple):
     """The corpus-level statistics block over the grades of every document.
 
     summary has one entry per index label plus "sum_variable".

@@ -744,6 +744,18 @@ print(sorted(network & set(sys.modules)))
         )
         assert out.stdout.strip() == "False"
 
+    def test_import_does_not_load_dataclasses(self):
+        # Records are NamedTuples, so starting a command skips dataclasses'
+        # import. -S keeps imports of site-packages .pth files out of the check.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = "import sys, lexgrade.cli, lexgrade.fetcher; print('dataclasses' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_warm_fetch_loads_no_network_stack(self, corpus, stub_repo):
         # A fetch whose every document is a cache hit makes no request, and
         # imports nothing that only a request needs.

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,7 +46,7 @@ def record(doc_id="32016R0679", doc_type=DocType.REGULATION, year=2016,
 
 def grade_columns(rows) -> dict:
     """corpus_statistics' columns: the rows' GradeVectors, transposed once."""
-    grades = (astuple(r.grades) for r in rows)
+    grades = (tuple(r.grades) for r in rows)
     return dict(zip(GRADE_FIELDS, zip(*grades)))
 
 

@@ -43,7 +43,7 @@ def test_matches_reference(text):
     assert segment_sentences(text) == reference.segment_sentences(text)
     m, words = scan(text)
     assert m.sentence_count == len(reference.segment_sentences(text))
-    assert vars(m) == reference.metrics(text)
+    assert m._asdict() == reference.metrics(text)
     assert words == reference.words(text)
     if words:
         for mode in ("windowed", "compat"):

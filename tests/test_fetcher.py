@@ -38,6 +38,14 @@ def record(doc_id: str) -> DocumentRecord:
     )
 
 
+#: Every way to build FetchSettings from keyword values; each one checks them.
+BUILDS = (
+    lambda **kw: FetchSettings(**kw),
+    lambda **kw: FetchSettings()._replace(**kw),
+    lambda **kw: FetchSettings._make({**FetchSettings()._asdict(), **kw}.values()),
+)
+
+
 def settings(stub, **overrides) -> FetchSettings:
     base = dict(base_url=stub.base_url, delay_ms=0, retries=1, timeout_s=5.0)
     base.update(overrides)
@@ -366,18 +374,31 @@ class TestFetchAll:
         ],
     )
     def test_base_url_without_http_host_rejected(self, base_url):
-        with pytest.raises(LexgradeError, match=re.escape(f"'{base_url}'")):
-            FetchSettings(base_url=base_url)
+        for build in BUILDS:
+            with pytest.raises(LexgradeError, match=re.escape(f"'{base_url}'")):
+                build(base_url=base_url)
 
     def test_concurrency_above_cap_rejected(self):
-        assert FetchSettings(concurrency=MAX_CONCURRENCY).concurrency == MAX_CONCURRENCY
-        with pytest.raises(LexgradeError, match="at most"):
-            FetchSettings(concurrency=MAX_CONCURRENCY + 1)
+        for build in BUILDS:
+            assert build(concurrency=MAX_CONCURRENCY).concurrency == MAX_CONCURRENCY
+            with pytest.raises(LexgradeError, match="at most"):
+                build(concurrency=MAX_CONCURRENCY + 1)
 
     def test_retries_above_cap_rejected(self):
-        assert FetchSettings(retries=MAX_RETRIES).retries == MAX_RETRIES
-        with pytest.raises(LexgradeError, match=f"at most {MAX_RETRIES}, got 6"):
-            FetchSettings(retries=MAX_RETRIES + 1)
+        for build in BUILDS:
+            assert build(retries=MAX_RETRIES).retries == MAX_RETRIES
+            with pytest.raises(LexgradeError, match=f"at most {MAX_RETRIES}, got 6"):
+                build(retries=MAX_RETRIES + 1)
+
+    def test_settings_are_immutable(self):
+        s = FetchSettings()
+        # Not even object.__setattr__ gets past a field, and no attribute is added.
+        for assign in (setattr, object.__setattr__):
+            with pytest.raises(AttributeError):
+                assign(s, "retries", MAX_RETRIES + 1)
+        with pytest.raises(AttributeError):
+            s.proxy = "http://proxy"
+        assert s == FetchSettings()
 
 
 def test_one_version_string():

@@ -209,7 +209,7 @@ class TestGradeAll:
     def test_golden_paragraph(self, data_dir):
         golden = json.loads((data_dir / "fixture_golden.json").read_text())
         text = (data_dir / "fixture_paragraph.txt").read_text()
-        assert vars(grade_metrics(text)[1]) == golden["grades"]
+        assert grade_metrics(text)[1]._asdict() == golden["grades"]
 
     def test_sum_variable_ignores_g4_g5(self):
         gv = grade_metrics("The cat sat.")[1]

@@ -142,14 +142,22 @@ class TestComputeMetrics:
 
     def test_empty_is_all_zero(self):
         m = compute_metrics("")
-        assert all(value == 0 for value in vars(m).values())
+        assert all(value == 0 for value in m._asdict().values())
+
+    def test_metrics_are_immutable(self):
+        m = compute_metrics("The cat sat.")
+        # Not even object.__setattr__ gets past a field.
+        for assign in (setattr, object.__setattr__):
+            with pytest.raises(AttributeError):
+                assign(m, "word_count", 99)
+        assert m.word_count == 3
 
     def test_golden_paragraph(self, data_dir):
         golden = json.loads((data_dir / "fixture_golden.json").read_text())
         text = (data_dir / "fixture_paragraph.txt").read_text()
         m = compute_metrics(text)
         expected = golden["metrics"]
-        assert vars(m) == {field: expected[field] for field in vars(m)}
+        assert m._asdict() == {field: expected[field] for field in m._asdict()}
         # the results columns derived from the metrics
         assert expected["easy_word_count"] == m.word_count - m.polysyllable_count
         assert expected["hard_word_count"] == m.polysyllable_count
@@ -167,7 +175,7 @@ class TestComputeMetrics:
     def test_concatenation_additivity(self, a, b):
         combined = compute_metrics(a + " " + b)
         ma, mb = compute_metrics(a), compute_metrics(b)
-        for field in vars(combined):
+        for field in combined._asdict():
             assert getattr(combined, field) == getattr(ma, field) + getattr(mb, field)
 
     @given(_texts)
@@ -211,7 +219,7 @@ class TestClassifierCache:
         m, words = scan(text)
         info = segmenter._classify.cache_info()
         assert info.currsize == maxsize and info.misses > maxsize
-        assert vars(m) == reference.metrics(text)
+        assert m._asdict() == reference.metrics(text)
         assert words == reference.words(text)
 
         # A full table of unrelated types leaves the pinned corpus bytes alone.
