@@ -1,16 +1,18 @@
 """The five readability grades and their common truncation rule.
 
 Four indices are plain ratio formulas over TextMetrics; Linsear Write
-scores 100-word samples of the per-word table that segmenter.scan builds
-in the same pass. Every raw value is truncated UP to the nearest integer
-(negative grades are possible and preserved), and every ceiling is exact
-for any document size. Flesch-Kincaid, ARI and Coleman-Liau are each one
-integer ceiling division: their decimal constants are scaled to integers
-over a common denominator of the counts. SMOG's square root is decided
-by an integer square root, and Linsear's mean window score is one
-integer ceiling over the windows' common denominator. No binary rounding
-enters: an integer raw value gains no spurious +1, and one a hair above
-an integer still rounds up.
+scores 100-word samples of the word codes that segmenter.scan returns
+with them: one character per word, "a" easy, "b" easy and ending a
+sentence, "c" hard, "d" hard and ending a sentence. Every raw value is
+truncated UP to the nearest integer (negative grades are possible and
+preserved), and every ceiling is exact for any document size.
+Flesch-Kincaid, ARI and Coleman-Liau are each one integer ceiling
+division: their decimal constants are scaled to integers over a common
+denominator of the counts. SMOG's square root is decided by an integer
+square root, and Linsear's mean window score is one integer ceiling over
+the windows' common denominator. No binary rounding enters: an integer
+raw value gains no spurious +1, and one a hair above an integer still
+rounds up.
 """
 
 from __future__ import annotations
@@ -103,18 +105,18 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown linsear mode {mode!r}; expected one of {LINSEAR_MODES}")
 
 
-def _sample_score(window: list[tuple[int, bool]]) -> tuple[int, int]:
-    """Scaled Linsear score, as (num, den), of (syllables, ends_sentence) words."""
-    # One point per word, two more per hard word; points/s is halved when
-    # above 20 and has 2 taken off first otherwise, so den is 2s.
-    points = len(window) + 2 * sum(syllables >= 3 for syllables, _ in window)
-    # The window's sentences end at its own words; an unterminated tail
-    # (or a heading-only window) counts as one more.
-    s = sum(ends for _, ends in window) + (not window[-1][1])
+def _sample_score(window: str) -> tuple[int, int]:
+    """Scaled Linsear score, as (num, den), of a window of word codes (a-d)."""
+    # One point per word, two more per hard word ("c", "d"); points/s is
+    # halved when above 20 and has 2 taken off first otherwise, so den is 2s.
+    points = len(window) + 2 * (window.count("c") + window.count("d"))
+    # The window's sentences end at its own words ("b", "d"); an
+    # unterminated tail (or a heading-only window) counts as one more.
+    s = window.count("b") + window.count("d") + (window[-1] in "ac")
     return points - 2 * s * (points <= 20 * s), 2 * s
 
 
-def _windows(words: list) -> list[list]:
+def _windows(words: str) -> list[str]:
     if len(words) <= 100:
         return [words]
     chunks = [words[i : i + 100] for i in range(0, len(words), 100)]
@@ -125,18 +127,19 @@ def _windows(words: list) -> list[list]:
     return chunks
 
 
-def linsear_write(words: list[tuple[int, bool]], mode: str = "windowed") -> int:
-    """Linsear Write grade of a text's scanned words (segmenter.scan).
+def linsear_write(words: str, mode: str = "windowed") -> int:
+    """Linsear Write grade of a text's word codes (segmenter.scan).
 
-    Each 100-word sample scores one point per easy word (two syllables
-    or less) and three per hard word (three or more), divided by the
-    sentences in the sample; the quotient r is rescaled to r/2 when
-    r > 20 and (r - 2)/2 otherwise. A sample's sentences are those ended
-    by its own words: a terminator that stands alone as a token ends a
-    sentence in TextMetrics but not in any sample. Windowed mode
-    averages the scaled scores over consecutive non-overlapping 100-word
-    windows; compat mode scores only the first 100 words. The result is
-    truncated up.
+    A code is one character per word: "a" easy, "b" easy and ending a
+    sentence, "c" hard, "d" hard and ending a sentence. Each 100-word
+    sample scores one point per easy word (two syllables or less) and
+    three per hard word (three or more), divided by the sentences in the
+    sample; the quotient r is rescaled to r/2 when r > 20 and (r - 2)/2
+    otherwise. A sample's sentences are those ended by its own words: a
+    terminator that stands alone as a token ends a sentence in
+    TextMetrics but not in any sample. Windowed mode averages the scaled
+    scores over consecutive non-overlapping 100-word windows; compat
+    mode scores only the first 100 words. The result is truncated up.
     """
     _check_mode(mode)
     if not words:

@@ -8,20 +8,23 @@ the same text always yields the same numbers.
 One rule, _ends_sentence, decides from a whitespace-delimited token alone
 whether a sentence ends after it. Legal texts are dense with "Art. 5"
 style citations, so it skips a small abbreviation list; "1.5" never
-splits, as a terminator must end its token. scan reads a text once into
-the counts and, per word, (syllables, ends_sentence). A terminator that
-stands alone as a token ("comply . The") ends a document sentence but is
-not a word, so a Linsear window counts only terminators on its own words.
+splits, as a terminator must end its token. scan reads a text into the
+counts and one code character per word: easy or hard (three syllables
+or more), ending a sentence or not. A terminator that stands alone as a
+token ("comply . The") ends a document sentence but is not a word, so a
+Linsear window counts only terminators on its own words.
 
-scan takes every per-token fact from one per-type table, _classify,
-bounded at 2**16 token types. An evicted type is classified again by
-the same pure functions, so results never depend on what it holds.
+scan classifies each distinct token once per text with one per-type
+table, _classify, bounded at 2**16 token types, and runs no Python code
+per token. An evicted type is classified again by the same pure
+functions, so results never depend on what it holds.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -161,44 +164,43 @@ def count_syllables(word: str) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _classify(token: str) -> tuple[bool, int, int, int]:
-    """(ends_sentence, alnum, letters, syllables) of a token; 0 syllables if not a word."""
+def _classify(token: str) -> tuple[str, int, int, int]:
+    """(code, syllables, alnum, letters) of a token; see scan for the codes."""
     alnum = sum(map(str.isalnum, token))
-    letters = sum(map(str.isalpha, token))
-    return _ends_sentence(token), alnum, letters, alnum and count_syllables(token)
+    ends = _ends_sentence(token)
+    if not alnum:
+        return "p" if ends else "", 0, 0, 0
+    n = count_syllables(token)
+    return "abcd"[2 * (n >= 3) + ends], n, alnum, sum(map(str.isalpha, token))
 
 
-def scan(text: str) -> tuple[TextMetrics, list[tuple[int, bool]]]:
-    """Count one text in a single pass over its tokens.
+def scan(text: str) -> tuple[TextMetrics, str]:
+    """Count one text from its token types, with no Python loop per token.
 
-    Returns the TextMetrics and, for each word token in order, its
-    syllable count and whether a sentence ends after it. Sentences are
-    counted as segment_sentences splits them; a punctuation-only token
-    can end a sentence but is not a word, so it has no entry. Per-token
-    facts come from the bounded per-type table _classify; the result does
-    not depend on what the table holds.
+    Returns the TextMetrics and one code per word token, in order: "a"
+    easy (at most two syllables), "b" easy and ending a sentence, "c"
+    hard, "d" hard and ending a sentence. Sentences are counted as
+    segment_sentences splits them: a word that ends one, a terminator
+    token ("p", not a word) after a word that does not, and an open
+    sentence at the end. Each distinct token is classified once by the
+    bounded table _classify; the result does not depend on what it holds.
     """
-    words: list[tuple[int, bool]] = []
-    sentences = syllables = polysyllables = characters = letters = 0
-    open_sentence = False
-    for token in _normalize(text).split():
-        ends, alnum, token_letters, n = _classify(token)
-        if alnum:
-            words.append((n, ends))
-            syllables += n
-            polysyllables += n >= 3
-            characters += alnum
-            letters += token_letters
-            open_sentence = True
-        if ends and open_sentence:
-            sentences += 1
-            open_sentence = False
-
+    tokens = _normalize(text).split()
+    code: dict[str, str] = {}
+    syllables = characters = letters = 0
+    for token, k in Counter(tokens).items():
+        code[token], n, alnum, token_letters = _classify(token)
+        syllables += k * n
+        characters += k * alnum
+        letters += k * token_letters
+    codes = "".join(map(code.__getitem__, tokens))
+    words = codes.replace("p", "")
+    sentences = sum(map(codes.count, ("b", "d", "ap", "cp"))) + (codes[-1:] in ("a", "c"))
     return TextMetrics(
-        sentence_count=sentences + open_sentence,
+        sentence_count=sentences,
         word_count=len(words),
         syllable_count=syllables,
-        polysyllable_count=polysyllables,
+        polysyllable_count=words.count("c") + words.count("d"),
         character_count=characters,
         letter_count=letters,
     ), words

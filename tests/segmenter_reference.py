@@ -5,7 +5,8 @@ and lexgrade.indices.linsear_write compute in one pass, for tests to
 compare against. Sentence boundaries come from a regex over the whole
 text with a backward scan for abbreviations; each Linsear window is
 joined back into a string and segmented again. linsear_words scores
-scanned words instead, with each window's score an exact Fraction.
+(syllables, ends_sentence) words instead, with each window's score an
+exact Fraction, and codes maps such words to scan's code string.
 Nothing in the package imports this module.
 """
 
@@ -99,6 +100,12 @@ def words(text: str) -> list[tuple[int, bool]]:
         )
         out.append((count_syllables(token), ends))
     return out
+
+
+def codes(words: list[tuple[int, bool]]) -> str:
+    """segmenter.scan's word codes of (syllables, ends_sentence) words."""
+    table = {(False, False): "a", (False, True): "b", (True, False): "c", (True, True): "d"}
+    return "".join(table[syllables >= 3, bool(ends)] for syllables, ends in words)
 
 
 def _sample_score(window: list[str]) -> Fraction:

@@ -187,7 +187,7 @@ class TestLinsearAgainstWordOracle:
     @example([(1, i % 20 == 19) for i in range(100)], "windowed")
     @example([(1, i % 20 == 19) for i in range(100)], "compat")
     def test_matches_oracle(self, words, mode):
-        assert linsear_write(words, mode) == reference.linsear_words(words, mode)
+        assert linsear_write(reference.codes(words), mode) == reference.linsear_words(words, mode)
 
 
 class TestGradeAll:

@@ -73,6 +73,25 @@ class TestSegmentSentences:
         got = segment_sentences("!!! Hello.")
         assert got == ["!!! Hello."]
 
+    @pytest.mark.parametrize(
+        "text,sentences,codes",
+        [
+            ("comply . The law", 2, "aaa"),
+            ("implementation ! law", 2, "ca"),
+            ("law . . next", 2, "aa"),
+            (". Leading words", 1, "aa"),
+            ("end. .", 1, "b"),
+            ("see Art. 5 .", 1, "aaa"),
+            ("a heading without punctuation", 1, "aaac"),
+            ("... ! ?", 0, ""),
+        ],
+    )
+    def test_terminator_tokens_that_are_not_words(self, text, sentences, codes):
+        m, words = scan(text)
+        assert m.sentence_count == sentences == len(segment_sentences(text))
+        assert m._asdict() == reference.metrics(text)
+        assert words == codes == reference.codes(reference.words(text))
+
     def test_every_sentence_has_a_word(self):
         for text in ("One. Two. --- Three.", "?? Start. End."):
             for sentence in segment_sentences(text):
@@ -220,7 +239,7 @@ class TestClassifierCache:
         info = segmenter._classify.cache_info()
         assert info.currsize == maxsize and info.misses > maxsize
         assert m._asdict() == reference.metrics(text)
-        assert words == reference.words(text)
+        assert words == reference.codes(reference.words(text))
 
         # A full table of unrelated types leaves the pinned corpus bytes alone.
         manifest = build_corpus(tmp_path, n=55)
@@ -231,6 +250,17 @@ class TestClassifierCache:
         ]) == 0
         pinned = Path(__file__).parent / "data" / "synthetic55_results.csv"
         assert results.read_bytes() == pinned.read_bytes()
+
+    def test_classified_once_per_type_per_text(self):
+        text = "The law applies. Member States (Art. 5) shall apply the law ! " * 40
+        types = set(text.split())
+        segmenter._classify.cache_clear()
+        for _ in range(2):  # a cold table, then a warm one
+            before = segmenter._classify.cache_info()
+            scan(text)
+            after = segmenter._classify.cache_info()
+            calls = after.hits + after.misses - before.hits - before.misses
+            assert calls == len(types)
 
     def test_syllables_counted_once_per_type(self, monkeypatch):
         counted = []
