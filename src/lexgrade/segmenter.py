@@ -14,10 +14,15 @@ or more), ending a sentence or not. A terminator that stands alone as a
 token ("comply . The") ends a document sentence but is not a word, so a
 Linsear window counts only terminators on its own words.
 
-scan classifies each distinct token once per text with one per-type
-table, _classify, bounded at 2**16 token types, and runs no Python code
-per token. An evicted type is classified again by the same pure
-functions, so results never depend on what it holds.
+scan looks each distinct token up once per text in one per-process type
+table, _TYPES, and runs no Python code per token. The types a text adds
+to it are classified together by _classify: the ASCII ones in one batch
+of whole-buffer bytes operations over the types joined by "\n" (no
+token holds whitespace, so none holds the separator), the others one by
+one through count_syllables, which stays the definition. The table
+starts empty again when a text's new types would take it past 2**16
+entries; an evicted type is classified again by the same rules, so
+results never depend on what it holds.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from functools import lru_cache
-from typing import NamedTuple
+from itertools import filterfalse, repeat
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "TextMetrics",
@@ -163,15 +168,86 @@ def count_syllables(word: str) -> int:
     return max(1, total)
 
 
-@lru_cache(maxsize=1 << 16)
-def _classify(token: str) -> tuple[str, int, int, int]:
-    """(code, syllables, alnum, letters) of a token; see scan for the codes."""
+# Facts (code, syllables, alnum, letters) per token type; see scan. It
+# holds at most _MAX_TYPES types between two scans.
+_TYPES: dict[str, tuple[str, int, int, int]] = {}
+_MAX_TYPES = 1 << 16
+
+# A type's code by (syllables capped at 3, ends a sentence); a token with
+# no alphanumeric character counts 0 syllables.
+_CODES = {
+    (0, False): "", (0, True): "p",
+    (1, False): "a", (1, True): "b",
+    (2, False): "a", (2, True): "b",
+    (3, False): "c", (3, True): "d",
+}
+
+# The ASCII bytes a token can hold besides letters, digits and "-":
+# controls that are not whitespace, and punctuation.
+_SYMBOLS = (
+    b"\x00\x01\x02\x03\x04\x05\x06\x07\x08\x0e\x0f\x10\x11\x12\x13"
+    b"\x14\x15\x16\x17\x18\x19\x1a\x1b\x7f!\"#$%&'()*+,./:;<=>?@[\\]^_`{|}~"
+)
+_NOT_ALNUM = _SYMBOLS + b"-"
+_NOT_LETTER = _SYMBOLS + b"0123456789"
+_NOT_ALPHA = _NOT_LETTER + b"-"
+
+# Letters to syllable marks: v a vowel, e, l, and c any other consonant.
+_MARKS = bytes.maketrans(
+    b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
+    b"vcccecccvcclccvcccccvcccvc" * 2,
+)
+_E_AND_L = bytes.maketrans(b"el", b"vc")
+
+
+def _ascii_syllables(buffer: bytes) -> Iterator[int]:
+    """count_syllables' sum over hyphen parts, per line of buffer.
+
+    buffer holds ASCII tokens one per line, with every hyphen part
+    ending in "-". A part with letters counts max(1, vowel runs), one
+    without counts 0. Each step is one translate or replace over the
+    whole buffer.
+    """
+    marks = buffer.translate(_MARKS, _NOT_LETTER)
+    # A part-final e is silent (s), unless it ends "le" after a consonant.
+    marks = marks.replace(b"e-", b"s-").replace(b"cls", b"clv").replace(b"lls", b"llv")
+    marks = marks.translate(_E_AND_L)
+    # R ends each vowel run that counts: one followed by a consonant or by
+    # the part's end. A silent final run ends in s, so is not counted.
+    marks = marks.replace(b"vc", b"Rc").replace(b"v-", b"R-")
+    # "+" ends the other parts with letters, which may hold no R.
+    marks = marks.replace(b"c-", b"c+").replace(b"s-", b"s+")
+    # Each part is left as its R's and its end; a "+" after an R is dropped.
+    marks = marks.translate(None, b"vcs").replace(b"R+", b"R-").translate(None, b"-")
+    return map(len, marks.split(b"\n"))
+
+
+def _classify_token(token: str) -> tuple[str, int, int, int]:
+    """(code, syllables, alnum, letters) of one token; see scan for the codes."""
     alnum = sum(map(str.isalnum, token))
-    ends = _ends_sentence(token)
-    if not alnum:
-        return "p" if ends else "", 0, 0, 0
-    n = count_syllables(token)
-    return "abcd"[2 * (n >= 3) + ends], n, alnum, sum(map(str.isalpha, token))
+    n = count_syllables(token) if alnum else 0
+    return _CODES[min(n, 3), _ends_sentence(token)], n, alnum, sum(map(str.isalpha, token))
+
+
+def _classify(types: list[str]) -> Iterator[tuple[str, tuple[str, int, int, int]]]:
+    """(type, facts) for each type, as _classify_token gives them.
+
+    The ASCII types are counted in one batch with no Python code per
+    type: one line each in one buffer, which bytes.translate, replace
+    and split work on whole. The rest go one by one.
+    """
+    ascii_types = list(filter(str.isascii, types))
+    others = list(filterfalse(str.isascii, types))
+    buffer = "-\n".join(ascii_types).encode("ascii") + b"-"
+    alnum = list(map(len, buffer.translate(None, _NOT_ALNUM).split(b"\n")))
+    letters = map(len, buffer.translate(None, _NOT_ALPHA).split(b"\n"))
+    # A word counts max(1, its parts' sum); a token with no alphanumeric
+    # counts 0. min gives both, as no word has more syllables than alnum.
+    syllables = list(map(min, alnum, map(max, _ascii_syllables(buffer), repeat(1))))
+    ends = map(_ends_sentence, ascii_types)
+    codes = map(_CODES.__getitem__, zip(map(min, syllables, repeat(3)), ends))
+    yield from zip(ascii_types, zip(codes, syllables, alnum, letters))
+    yield from zip(others, map(_classify_token, others))
 
 
 def scan(text: str) -> tuple[TextMetrics, str]:
@@ -182,17 +258,31 @@ def scan(text: str) -> tuple[TextMetrics, str]:
     hard, "d" hard and ending a sentence. Sentences are counted as
     segment_sentences splits them: a word that ends one, a terminator
     token ("p", not a word) after a word that does not, and an open
-    sentence at the end. Each distinct token is classified once by the
-    bounded table _classify; the result does not depend on what it holds.
+    sentence at the end. Each distinct token is looked up once in the
+    table _TYPES, which _classify fills with the text's new types in one
+    call; the result does not depend on what the table holds.
     """
+    global _TYPES
     tokens = _normalize(text).split()
+    counts = Counter(tokens)
+    # A full table is replaced, not cleared, so a scan running in another
+    # thread keeps the table it is reading.
+    table = _TYPES
+    new = list(filterfalse(table.__contains__, counts))
+    if len(table) + len(new) > _MAX_TYPES:
+        table = _TYPES = {}
+        new = list(counts)
+    if new:
+        table.update(_classify(new))
     code: dict[str, str] = {}
     syllables = characters = letters = 0
-    for token, k in Counter(tokens).items():
-        code[token], n, alnum, token_letters = _classify(token)
+    for token, k in counts.items():
+        code[token], n, alnum, token_letters = table[token]
         syllables += k * n
         characters += k * alnum
         letters += k * token_letters
+    if len(table) > _MAX_TYPES:  # one text had more types than the bound
+        _TYPES = {}
     codes = "".join(map(code.__getitem__, tokens))
     words = codes.replace("p", "")
     sentences = sum(map(codes.count, ("b", "d", "ap", "cp"))) + (codes[-1:] in ("a", "c"))

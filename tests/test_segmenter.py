@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexgrade import segmenter
@@ -224,24 +225,36 @@ def _distinct_tokens(n: int) -> list[str]:
 
 
 class TestClassifierCache:
+    """The per-process type table: bounded, and invisible in every result."""
+
     def test_bound_is_fixed(self):
-        assert segmenter._classify.cache_info().maxsize == 1 << 16
+        assert segmenter._MAX_TYPES == 1 << 16
 
     def test_eviction_changes_no_count(self, tmp_path):
-        segmenter._classify.cache_clear()
-        maxsize = segmenter._classify.cache_info().maxsize
-        tokens = _distinct_tokens(maxsize + 4_000)
+        segmenter._TYPES.clear()
+        bound = segmenter._MAX_TYPES
+        tokens = _distinct_tokens(bound + 4_000)
         for i in range(0, len(tokens), 11):
             tokens.insert(i, ["Art.", ".", "(No.", "law."][i % 4])
-        # The first tokens come back after the table has evicted them.
-        text = " ".join(tokens + tokens[:6_000])
-        m, words = scan(text)
-        info = segmenter._classify.cache_info()
-        assert info.currsize == maxsize and info.misses > maxsize
-        assert m._asdict() == reference.metrics(text)
-        assert words == reference.codes(reference.words(text))
+        types = list(dict.fromkeys(tokens))
+        texts = [
+            # more types than the bound in one text; the first come back
+            " ".join(tokens + tokens[:6_000]),
+            # fills the table to just under the bound
+            " ".join(types[:bound - 100]),
+            # old and new types: the table starts over with this text's
+            " ".join(types[bound - 3_000:bound + 3_000] + types[:50]),
+        ]
+        for text in texts:
+            m, words = scan(text)
+            assert len(segmenter._TYPES) <= bound
+            assert m._asdict() == reference.metrics(text)
+            assert words == reference.codes(reference.words(text))
+        assert len(segmenter._TYPES) == len(set(texts[-1].split()))
 
         # A full table of unrelated types leaves the pinned corpus bytes alone.
+        scan(" ".join(_distinct_tokens(bound)))
+        assert len(segmenter._TYPES) == bound
         manifest = build_corpus(tmp_path, n=55)
         results = tmp_path / "results.csv"
         assert main([
@@ -251,16 +264,55 @@ class TestClassifierCache:
         pinned = Path(__file__).parent / "data" / "synthetic55_results.csv"
         assert results.read_bytes() == pinned.read_bytes()
 
-    def test_classified_once_per_type_per_text(self):
+    def test_classified_once_per_type_per_text(self, monkeypatch):
+        batches = []
+        classify = segmenter._classify
+
+        def recording(types):
+            batches.append(list(types))
+            return classify(types)
+
+        monkeypatch.setattr(segmenter, "_classify", recording)
         text = "The law applies. Member States (Art. 5) shall apply the law ! " * 40
-        types = set(text.split())
-        segmenter._classify.cache_clear()
-        for _ in range(2):  # a cold table, then a warm one
-            before = segmenter._classify.cache_info()
-            scan(text)
-            after = segmenter._classify.cache_info()
-            calls = after.hits + after.misses - before.hits - before.misses
-            assert calls == len(types)
+        text += "Geschäftsführer für « naïve-façade » "
+        segmenter._TYPES.clear()
+        scan(text)  # a cold table: every type, once, in one batch
+        assert len(batches) == 1
+        assert sorted(batches[0]) == sorted(set(text.split()))
+        scan(text)  # a warm one: none
+        assert len(batches) == 1
+        scan(text + "Directive apply.")  # only the types the table lacks
+        assert batches[1] == ["Directive", "apply."]
+
+    def test_threads_share_the_table(self, monkeypatch):
+        # A small bound makes every scan replace the table while the
+        # others read theirs; each must still count its text exactly.
+        monkeypatch.setattr(segmenter, "_MAX_TYPES", 60)
+        tokens = _distinct_tokens(400)
+        texts = [" ".join(tokens[i:i + 50] * 3) for i in range(0, 400, 25)]
+        expected = [scan(text) for text in texts]
+        errors = []
+
+        def work():
+            try:
+                for _ in range(30):
+                    for text, want in zip(texts, expected):
+                        assert scan(text) == want
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_syllables_counted_once_per_type(self, monkeypatch):
         counted = []
@@ -269,11 +321,66 @@ class TestClassifierCache:
             counted.append(token)
             return count_syllables(token)
 
-        segmenter._classify.cache_clear()
+        segmenter._TYPES.clear()
         monkeypatch.setattr(segmenter, "count_syllables", counting)
         text = "The law applies. Member States (Art. 5) shall apply the law! " * 40
-        text += "The data , 2016/679 ... apply."
+        text += "The data , 2016/679 ... apply. Geschäftsführer für « naïve-façade » für"
         m, words = scan(text)
         types = set(tokenize_words(text))
         assert m.word_count == len(words) > 10 * len(types)
-        assert sorted(counted) == sorted(types)
+        # The ASCII types are counted in one batch, never one by one.
+        assert sorted(counted) == sorted(t for t in types if not t.isascii())
+        assert counted == ["Geschäftsführer", "für", "naïve-façade"]
+
+
+def _defined_facts(token: str) -> tuple[str, int, int, int]:
+    """A token's (code, syllables, alnum, letters) from the definitions."""
+    alnum = sum(map(str.isalnum, token))
+    ends = segmenter._ends_sentence(token)
+    if not alnum:
+        return "p" if ends else "", 0, 0, 0
+    n = count_syllables(token)
+    return "abcd"[2 * (n >= 3) + ends], n, alnum, sum(map(str.isalpha, token))
+
+
+# Rich in what the syllable rules turn on (e, l, y, vowel runs, hyphens),
+# in what ends a sentence (terminators, closers, abbreviations) and in
+# what the batch must delete or send down the per-token path.
+_TYPE_PIECES = list("eeeEllLyYaiouAtbrcmsx--'0129.!?)]\"»’”éÉßöŁ²/(,\x00\x7f") + [
+    "le", "lle", "ble", "ee", "ue", "ye", "Art.", "(No.", "e.g."]
+_TOKEN_TYPES = st.lists(
+    st.lists(st.sampled_from(_TYPE_PIECES), min_size=1, max_size=8).map("".join),
+    unique=True, max_size=40,
+)
+_PINNED = ["agree", "iitee", "table", "ale", "le", "lle", "belle", "the", "e",
+           "e-mail", "-e-", "--", "2016/679", "A?cIee?", "TFEU"]
+
+
+class TestBatchClassifier:
+    """_classify's batch against the per-token definitions."""
+
+    @given(_TOKEN_TYPES)
+    @example(_PINNED)
+    @example(["lle"])
+    @example([])
+    def test_matches_definitions(self, types):
+        facts = list(segmenter._classify(types))
+        assert sorted(token for token, _ in facts) == sorted(types)
+        assert dict(facts) == {token: _defined_facts(token) for token in types}
+
+    @pytest.mark.parametrize("token,syllables", [
+        ("agree", 1), ("iitee", 1), ("table", 2), ("ale", 1), ("le", 1),
+        ("lle", 1), ("belle", 2), ("the", 1), ("e", 1), ("e-mail", 2),
+        ("-e-", 1), ("--", 0), ("2016/679", 1), ("A?cIee?", 1), ("TFEU", 1),
+    ])
+    def test_pinned_syllables(self, token, syllables):
+        assert dict(segmenter._classify([token]))[token][1] == syllables
+
+    def test_every_ascii_character(self):
+        # Each byte a token can hold, alone and inside the contexts the
+        # syllable rules read: a final e, "le", a hyphen part.
+        chars = [chr(c) for c in range(128) if not chr(c).isspace()]
+        contexts = ["{}", "a{}e", "b{}le", "{}-e", "ta{}", "e{}-y"]
+        types = list(dict.fromkeys(c.format(ch) for ch in chars for c in contexts))
+        facts = dict(segmenter._classify(types))
+        assert [facts[token] for token in types] == list(map(_defined_facts, types))
