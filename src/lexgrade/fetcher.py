@@ -27,7 +27,19 @@ Every request carries http.client's Accept-Encoding: identity, so pages
 arrive uncompressed, and opens its own connection: keep-alive is not
 attempted. urllib.request, http.client, ssl and datetime are imported
 only when a document misses the cache, so a fully cached fetch loads no
-network stack; only a miss stamps retrieved_at.
+network stack; only a miss stamps retrieved_at. The text scan's html
+module and pattern also wait for a miss, and html.parser for a page the
+scan leaves to it.
+
+A fetched page's text comes from one regular-expression scan over markup
+that every html.parser since Python 3.10 reads alike: tags whose
+attributes are separated by ASCII whitespace, comments without "--"
+inside, a doctype, a <title> holding no markup, and whole script and
+style elements. A page holding any other markup, or a character the scan
+uses as a mark, is read with html.parser instead, which gives the same
+text (see extract_text_from_html). Text inside head, nav, header, footer,
+noscript, template, script and style is dropped; a <body> start tag ends
+every such region, so a page that omits </head> keeps its text.
 """
 
 from __future__ import annotations
@@ -40,7 +52,6 @@ import threading
 import time
 import urllib.error
 from enum import Enum
-from html.parser import HTMLParser
 from pathlib import Path
 from typing import NamedTuple, Sequence
 from urllib.parse import urlsplit
@@ -145,21 +156,113 @@ def celex_url(celex_id: str, base_url: str = DEFAULT_BASE_URL) -> str:
     return f"{base_url.rstrip('/')}/legal-content/EN/TXT/HTML/?uri=CELEX:{celex_id}"
 
 
-# Content inside these elements is navigation chrome, not document text.
-_SKIP_TAGS = frozenset(
-    {"script", "style", "head", "nav", "header", "footer", "noscript", "template"}
+# What a tag does to the text around it: text inside a skip element is
+# navigation chrome, not document text; a block tag ends a paragraph; a table
+# cell separates words with a space, not a paragraph break; and a <body> start
+# tag closes every open skip element, since a page may omit </head>. Each
+# effect is a mark. The scan writes the marks into the page's text and applies
+# them all at once; the html.parser fallback applies them one event at a time.
+# html.unescape turns a reference to any mark character into "", and no entity
+# name holds one. The cell mark is whitespace to str.split().
+_SEP, _BREAK, _CELL, _SKIP = "\x01", "\x02", "\x1f", "\x03"
+_OPEN, _CLOSE, _BODY = _SKIP + "+", _SKIP + "-", _SKIP + "0"
+_SKIP_TAGS = ("script", "style", "head", "nav", "header", "footer", "noscript", "template")
+_BLOCK_TAGS = (
+    "p", "div", "br", "li", "ul", "ol", "tr", "table", "blockquote",
+    "section", "article", "h1", "h2", "h3", "h4", "h5", "h6",
 )
-_BLOCK_TAGS = frozenset(
-    {
-        "p", "div", "br", "li", "ul", "ol", "tr", "table", "blockquote",
-        "section", "article", "h1", "h2", "h3", "h4", "h5", "h6",
-    }
+_CELL_TAGS = ("td", "th")
+_EMPTY_MARKS = dict.fromkeys(_BLOCK_TAGS, _BREAK)  # self-closing, as <br/>
+_START_MARKS = {**_EMPTY_MARKS, **dict.fromkeys(_CELL_TAGS, _CELL),
+                **dict.fromkeys(_SKIP_TAGS, _OPEN), "body": _BODY}
+_END_MARKS = {**_EMPTY_MARKS, **dict.fromkeys(_CELL_TAGS, _CELL),
+              **dict.fromkeys(_SKIP_TAGS, _CLOSE)}
+
+# Elements whose content some html.parser version reads as raw text. A start
+# tag of one that the scan did not read whole sends the page to html.parser.
+_RAW_TEXT = frozenset({"script", "style", "title", "textarea", "xmp", "iframe",
+                       "noembed", "noframes", "plaintext"})
+
+# The markup the scan reads, all of it parsed alike by every html.parser since
+# Python 3.10; older versions also split tags at \v and at non-ASCII spaces.
+# A bare attribute value must not run into "/>", which html.parser reads as
+# part of the value. Script and style elements are read whole; each attempt
+# stops at the next "<s" or "</s", before any end tag a version could take
+# for theirs ("</ \u017fcript" under Unicode case rules). Group 1 is a tag's
+# name, after "/" for an end tag; group 2 is "/" for a self-closing tag.
+_WS = r"[\t\n\r\f ]"
+_NAME = r"[a-zA-Z][a-zA-Z0-9]*"
+_ATTRS = (
+    rf"(?:{_WS}+[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+    r"""(?:=(?:"[^"]*"|'[^']*'|[-a-zA-Z0-9_.:#%]+(?!/)))?)*"""
 )
-# Table cells separate with a space, not a paragraph break.
-_CELL_TAGS = frozenset({"td", "th"})
+_RAW = r"[^<]*(?:<(?!/?\s*[sS\u017f])[^<]*)*"
+_HIDDEN = f"[^{_BREAK}{_CELL}]+"
+_MARKUP = (
+    rf"<(?:(?ai:script){_ATTRS}{_WS}*>{_RAW}</(?ai:script)>"
+    rf"|(?ai:style){_ATTRS}{_WS}*>{_RAW}</(?ai:style)>"
+    rf"|(?ai:title){_ATTRS}{_WS}*>(?=[^<]*</(?ai:title){_WS}*>)"
+    rf"|(/{_NAME}(?={_WS}*>)|{_NAME}){_ATTRS}{_WS}*(/?)>"
+    r"|!--(?!-?>)[^-]*(?:-[^-]+)*-->"
+    r"|!(?ai:doctype)[^<>]*>)"
+)
 
 
-class _TextExtractor(HTMLParser):
+def _tag_mark(tag: tuple[str | None, str | None]) -> str:
+    """The mark for one token of the scan, from its two groups.
+
+    A start tag of a raw-text element gets "<", so that the page goes to
+    the fallback as one holding a stray "<".
+    """
+    name, slash = tag
+    if name is None:  # comment, doctype, script or style element, <title>
+        return _SEP
+    name = name.lower()
+    if name[0] == "/":
+        return _END_MARKS.get(name[1:], _SEP)
+    if slash:
+        return _EMPTY_MARKS.get(name, _SEP)
+    if name in _RAW_TEXT:
+        return "<"
+    return _START_MARKS.get(name, _SEP)
+
+
+def _scan_text(page: str) -> str | None:
+    """The text of a page read with one scan, or None if it holds markup
+    the scan does not read or a mark character."""
+    if _SEP in page or _BREAK in page or _CELL in page or _SKIP in page:
+        return None
+    from html import unescape
+
+    # Text, group 1 and group 2 repeat; each token's groups become its mark.
+    parts = re.compile(_MARKUP).split(page)
+    tags = list(zip(parts[1::3], parts[2::3]))
+    marks = {tag: _tag_mark(tag) for tag in set(tags)}
+    parts[1::3] = map(marks.__getitem__, tags)
+    del parts[2::3]
+    marked = "".join(parts)
+    if "<" in marked:
+        return None
+    # The marks split the text where html.parser's data events end, and no
+    # character reference reaches across one, so one unescape call does
+    # what html.parser does to each piece of text.
+    pieces = unescape(marked).split(_SKIP)
+    depth = 0
+    for i in range(1, len(pieces)):
+        piece = pieces[i]
+        mark = _SKIP + piece[0]
+        depth = depth + 1 if mark == _OPEN else 0 if mark == _BODY else max(depth - 1, 0)
+        # Hidden text still keeps its paragraph breaks and cell spaces.
+        pieces[i] = re.sub(_HIDDEN, "", piece) if depth else piece[1:]
+    text = "".join(pieces).replace(_SEP, "")
+    paragraphs = " ".join(text.split()).split(_BREAK)
+    return "\n\n".join(filter(None, map(str.strip, paragraphs)))
+
+
+class _TextExtractor:
+    """Paragraphs from html.parser's events; _parse_text mixes it into
+    html.parser.HTMLParser."""
+
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         self._paragraphs: list[str] = []
@@ -167,24 +270,25 @@ class _TextExtractor(HTMLParser):
         self._skip_depth = 0
 
     def handle_starttag(self, tag, attrs):
-        if tag in _SKIP_TAGS:
-            self._skip_depth += 1
-        elif tag in _BLOCK_TAGS:
-            self._flush()
-        elif tag in _CELL_TAGS:
-            self._chunks.append(" ")
+        self._apply(_START_MARKS.get(tag))
 
     def handle_endtag(self, tag):
-        if tag in _SKIP_TAGS:
-            self._skip_depth = max(0, self._skip_depth - 1)
-        elif tag in _BLOCK_TAGS:
-            self._flush()
-        elif tag in _CELL_TAGS:
-            self._chunks.append(" ")
+        self._apply(_END_MARKS.get(tag))
 
     def handle_startendtag(self, tag, attrs):
-        if tag in _BLOCK_TAGS:
+        self._apply(_EMPTY_MARKS.get(tag))
+
+    def _apply(self, mark: str | None) -> None:
+        if mark == _OPEN:
+            self._skip_depth += 1
+        elif mark == _CLOSE:
+            self._skip_depth = max(0, self._skip_depth - 1)
+        elif mark == _BODY:
+            self._skip_depth = 0
+        elif mark == _BREAK:
             self._flush()
+        elif mark == _CELL:
+            self._chunks.append(" ")
 
     def handle_data(self, data):
         if self._skip_depth:
@@ -207,16 +311,36 @@ class _TextExtractor(HTMLParser):
         return "\n\n".join(self._paragraphs)
 
 
+def _parse_text(html: str) -> str:
+    """The text of a page read with html.parser: the fallback of
+    extract_text_from_html and the reference its scan must equal."""
+    from html.parser import HTMLParser
+
+    parser = type("_Parser", (_TextExtractor, HTMLParser), {})()
+    parser.feed(html)
+    parser.close()
+    return parser.text()
+
+
 def extract_text_from_html(html: str) -> str:
     """Plain text of an HTML page, paragraphs separated by blank lines.
 
     Scripts, styles and navigation regions are dropped; character
-    entities are decoded; malformed markup is handled leniently.
+    entities are decoded; malformed markup is handled leniently. A <body>
+    start tag ends every skipped region, so a page without </head> keeps
+    its text.
+
+    One regular-expression scan reads start, end and self-closing tags
+    whose attributes are separated by ASCII whitespace, comments without
+    "--" inside, a doctype, a <title> holding no markup, and script and
+    style elements, each taken whole up to its end tag. A page holding
+    any other markup (a stray "<", "<?", "<!x>", "</>", an end tag with
+    attributes, an unterminated construct, script or style text holding
+    "<s" or "</s") or one of the control characters the scan marks tags
+    with is read by html.parser instead. Both readings give the same text.
     """
-    parser = _TextExtractor()
-    parser.feed(html)
-    parser.close()
-    return parser.text()
+    text = _scan_text(html)
+    return _parse_text(html) if text is None else text
 
 
 class _RateLimiter:

@@ -758,7 +758,7 @@ print(sorted(network & set(sys.modules)))
 
     def test_warm_fetch_loads_no_network_stack(self, corpus, stub_repo):
         # A fetch whose every document is a cache hit makes no request, and
-        # imports nothing that only a request needs.
+        # imports nothing that only a request or the text of a page needs.
         stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
         manifest = corpus / "fetch_manifest.csv"
         manifest.write_text(
@@ -779,7 +779,8 @@ import json
 import sys
 import lexgrade.cli
 assert lexgrade.cli.main(json.loads(sys.argv[1])) == 0
-print(sorted({"ssl", "urllib.request", "http.client"} & set(sys.modules)))
+print(sorted({"ssl", "urllib.request", "http.client", "html", "html.parser"}
+             & set(sys.modules)))
 """
         out = subprocess.run(
             [sys.executable, "-c", script, json.dumps(argv)],

@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 import lexgrade
 from conftest import Reply
+from lexgrade import fetcher
 from lexgrade.corpus import DocType, Domain, DocumentRecord
 from lexgrade.errors import LexgradeError, MalformedCelexError
 from lexgrade.fetcher import (
@@ -20,6 +25,9 @@ from lexgrade.fetcher import (
     fetch_all,
     fetch_document,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+import html_pieces  # noqa: E402
 
 GDPR_HTML = """<html><body>
 <p>Regulation text begins.</p>
@@ -91,6 +99,141 @@ class TestExtractText:
     def test_inline_tags_keep_word_spacing(self):
         html = "<p><i>EU</i>\n<b>law</b></p>"
         assert extract_text_from_html(html) == "EU law"
+
+
+# The layout of the benchmark's fetch-cold pages: doctype, a head with style
+# and script, header, nav and noscript chrome, oj-table rows and a footer.
+BENCH_LAYOUT_PAGE = """<!DOCTYPE html>
+<html lang="en"><head><meta charset="utf-8">
+<title>EUR-Lex - 32016R0679 - EN</title>
+<style>.oj-normal { margin: 0; } td { vertical-align: top; }</style>
+<script>window.dataLayer = [{"page": "document <p>view</p>"}];</script>
+</head><body>
+<header><a class="logo" href="/">EUR-Lex</a> Access to European Union law\
+<form><input name=q><button>Search</button></form></header>
+<nav><ul><li><a href="/">Home</a></li><li><a href="/search">Advanced search\
+</a></li><li>Help &amp; cookies</li></ul></nav>
+<noscript>Enable JavaScript to use the menu</noscript>
+<div id="document">
+<p class="oj-hd-date">4.5.2016 EN</p>
+<p class="oj-normal">Member States&rsquo; r&eacute;gime under Art.&nbsp;5 applies.</p>
+<table class="oj-table"><colgroup><col width="4%"><col width="96%"></colgroup>
+<tr><td><p class="oj-normal">(a)</p></td><td><p class="oj-normal">na&#239;ve &euro;</p></td></tr>
+</table>
+</div>
+<footer>Top &#8593; | Legal notice | Cookies policy</footer>
+<script src="/js/analytics.js"></script>
+</body></html>
+"""
+
+#: html.parser's reading, kept before any test counts calls to it.
+parse_text = fetcher._parse_text
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> list[str]:
+    """The pages extract_text_from_html hands to html.parser."""
+    calls: list[str] = []
+
+    def counted(html: str) -> str:
+        calls.append(html)
+        return parse_text(html)
+
+    monkeypatch.setattr(fetcher, "_parse_text", counted)
+    return calls
+
+
+@st.composite
+def pages(draw, pieces, cut=True):
+    html = "".join(draw(st.lists(st.sampled_from(pieces), max_size=30)))
+    if cut and draw(st.booleans()):
+        html = html[: draw(st.integers(0, len(html)))]
+    return html
+
+
+class TestScanMatchesParser:
+    @hypothesis_settings(max_examples=400, deadline=None)
+    @given(pages(html_pieces.SCANNED + html_pieces.OTHER))
+    def test_equals_html_parser(self, html):
+        assert extract_text_from_html(html) == parse_text(html)
+
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(pages(html_pieces.SCANNED, cut=False))
+    def test_scanned_pieces_need_no_fallback(self, html):
+        assert fetcher._scan_text(html) == parse_text(html)
+
+    @pytest.mark.parametrize(
+        "html",
+        [
+            "<p>a < b</p>",
+            "<?xml version='1.0'?><p>x</p>",
+            "<!x><p>x</p>",
+            "<p>x</>y</p>",
+            "<p>x</p class=y>z",
+            "<p>x</ p>y",
+            "<nav\x0bclass=x>y</nav>z",
+            "<p\x00>x</p>",
+            "<nav\xa0class=x>y</nav>z",
+            "<nav class=x/>y</nav>z",
+            "<!-- a -- b --><p>x</p>",
+            "<!-- a --!><p>x</p>-->",
+            "<!--><p>x</p>-->",
+            "<p>x</p><!-- y",
+            "<p>x</p><p class=",
+            "<script>var a;",
+            "<script>a</script x><p>b</p>",
+            "<script>a</scriptx>b</script><p>c</p>",
+            "<style>a</ style>b</style><p>c</p>",
+            "<textarea><p>x</p></textarea>",
+            "<title>a<b>c</title><p>x</p>",
+            "<![CDATA[x]]><p>y</p>",
+            "<p>a\x01b</p>",
+            "<p>a\x02b</p>",
+            "a<nav>\x1f</nav>b",
+            "a\x03+<nav>b",
+        ],
+    )
+    def test_unread_markup_takes_fallback(self, fallbacks, html):
+        assert extract_text_from_html(html) == parse_text(html)
+        assert fallbacks == [html]
+
+    @pytest.mark.parametrize(
+        "html, text",
+        [
+            ("a<nav><p>b</nav>c", "a\n\nc"),
+            ("a<nav><td>b</nav>c", "a c"),
+            ("a<nav> </nav>b", "ab"),
+            ("<nav><footer></nav>a</footer>b", "b"),
+            ("</nav>a<nav>b", "a"),
+            ("<td>a</td><td>b</td>", "a b"),
+            ("<td/>a<td/>b<nav/>c<br/>d", "abc\n\nd"),
+            ("&am<b></b>p; &amp<i>;</i> &#6<!-- -->5;", "&amp; &; 5;"),
+            ("<p>a<script>b</script>c</p>", "ac"),
+        ],
+    )
+    def test_scanned_marks(self, fallbacks, html, text):
+        assert extract_text_from_html(html) == text == parse_text(html)
+        assert fallbacks == []
+
+    def test_golden_and_bench_layout_need_no_fallback(self, data_dir, fallbacks):
+        golden = (data_dir / "directive_page.html").read_text()
+        assert extract_text_from_html(golden) == parse_text(golden)
+        assert extract_text_from_html(BENCH_LAYOUT_PAGE) == (
+            "4.5.2016 EN\n\nMember States\u2019 r\u00e9gime under Art. 5 applies."
+            "\n\n(a)\n\nna\u00efve \u20ac"
+        )
+        assert extract_text_from_html(BENCH_LAYOUT_PAGE) == parse_text(BENCH_LAYOUT_PAGE)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("tail, fallback", [("", False), ("<p>a < b</p>", True)])
+    def test_body_closes_unclosed_head(self, fallbacks, tail, fallback):
+        html = (
+            "<html><head><title>T</title><body><p>Article 1 applies.</p>"
+            f"{tail}</body></html>"
+        )
+        text = extract_text_from_html(html)
+        assert text == "Article 1 applies." + ("\n\na < b" if tail else "")
+        assert fallbacks == ([html] if fallback else [])
 
 
 class TestFetchDocument:
