@@ -15,7 +15,9 @@ Politeness defaults: one request at a time, 1000 ms between request
 starts, 3 retries with exponential backoff, and an identifying
 user-agent. At most MAX_CONCURRENCY fetches ever overlap, and at most
 MAX_RETRIES (5) retries follow a failed request, so no backoff sleeps
-longer than 2**(MAX_RETRIES-1) times the delay. The base URL
+longer than 2**(MAX_RETRIES-1) times the delay. A Retry-After of
+delta-seconds on a 429 or 503 lengthens the next wait up to that same
+bound; an HTTP-date or any other value is ignored. The base URL
 can be overridden, which is also how tests point the fetcher at a local
 stub server; it must be http:// or https:// with a host.
 
@@ -361,6 +363,15 @@ class _RateLimiter:
             time.sleep(delay)
 
 
+def _retry_after(value: str | None, cap_s: float) -> float:
+    """Seconds a delta-seconds Retry-After value asks for, at most cap_s; else 0.0."""
+    value = (value or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return 0.0
+    # float, not int: a value of thousands of digits is inf rather than an error.
+    return min(float(value), cap_s)
+
+
 def _atomic_write(path: Path, content: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
@@ -391,7 +402,9 @@ def fetch_document(
     source. A page is decoded by the charset in its Content-Type, as UTF-8
     when it names none or one Python does not know. 404 yields NotFound;
     any other 4xx but 429 yields TransportError at once, any other status
-    but 200 or a failed transport after the configured retries.
+    but 200 or a failed transport after the configured retries. Each retry
+    waits the exponential backoff, or longer when a 429 or 503 asked for
+    more with a delta-seconds Retry-After (at most the largest backoff).
     """
     url = celex_url(celex_id, settings.base_url)
     cache_dir = Path(cache_dir)
@@ -424,14 +437,16 @@ def fetch_document(
     from datetime import datetime, timezone
 
     cache_dir.mkdir(parents=True, exist_ok=True)
-    limiter = _limiter or _RateLimiter(settings.delay_ms / 1000.0)
+    delay_s = settings.delay_ms / 1000.0
+    limiter = _limiter or _RateLimiter(delay_s)
     request = urllib.request.Request(url, headers={"User-Agent": settings.user_agent})
 
-    last_error = ""
+    last_error, asked_s = "", 0.0
     for attempt in range(settings.retries + 1):
         if attempt > 0:
-            time.sleep((settings.delay_ms / 1000.0) * (2 ** (attempt - 1)))
+            time.sleep(max(delay_s * 2 ** (attempt - 1), asked_s))
         limiter.wait()
+        asked_s = 0.0
         try:
             with urllib.request.urlopen(request, timeout=settings.timeout_s) as response:
                 status = response.status
@@ -441,6 +456,9 @@ def fetch_document(
         except urllib.error.HTTPError as exc:
             exc.close()
             status = exc.code
+            if status in (429, 503):
+                cap_s = delay_s * 2 ** (MAX_RETRIES - 1)
+                asked_s = _retry_after(exc.headers.get("Retry-After"), cap_s)
         except (OSError, http.client.HTTPException) as exc:
             # timeouts, refused connections, a body cut short (IncompleteRead)
             last_error = str(exc)

@@ -1,50 +1,39 @@
 """Corpus-level statistics: correlations, internal consistency, summaries.
 
 Every input is an integer: grades are truncated integers, and the sum
-variable is g1+g2+g3 with divisor 3 (3*sum_variable = g1+g2+g3). Other
-values raise StatisticsError. One exact integer moment table (each
-column's sum and S[i][j] = n*sum(x_i*x_j) - sum(x_i)*sum(x_j)) gives
-every mean, sample (n-1) standard deviation, Pearson correlation and
-Cronbach's alpha as one correctly rounded int/int division or square
-root of one. So correlations lie in [-1, 1] and identical columns give
-exactly 1.0. Correlations are computed on the truncated grades, not the
-raw formula values. Quantiles use linear interpolation between order
-statistics (type 7), each one int/int division too; both conventions
-are named in report output so published numbers are auditable.
-per_year_aggregate summarises each year's g1+g2+g3 with describe.
+variable is g1+g2+g3 with divisor 3. Other values raise StatisticsError.
+One exact integer moment table, each column's sum and S[i][j] =
+n*sum(x_i*x_j) - sum(x_i)*sum(x_j), gives every mean, sample (n-1)
+standard deviation, Pearson correlation and Cronbach's alpha as one
+correctly rounded int/int division or square root of one: correlations
+lie in [-1, 1] and identical columns give exactly 1.0. Correlations use
+the truncated grades, not the raw formula values. Quantiles are type 7
+(linear interpolation between order statistics), one int/int division
+each. Both conventions are named in report output so published numbers
+are auditable. corpus_statistics reads every figure from one table over
+the five grade columns; per_year_aggregate groups g1+g2+g3 by year in
+one pass.
 
-Grades come in as columns, one value per document: corpus_statistics
-takes a mapping from each of GRADE_FIELDS to its column, and
-correlation_matrix the five grade columns in GRADE_FIELDS order. A
-results file read by the CLI is already in that shape; per-document
-GradeVectors are transposed once, e.g. dict(zip(GRADE_FIELDS, zip(*grades))).
-"""
+Grades come in as columns, one value per document, as a results file
+read by the CLI holds them; per-document GradeVectors are transposed
+once, e.g. dict(zip(GRADE_FIELDS, zip(*grades)))."""
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from operator import add, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConstantInputError, DegenerateVarianceError, StatisticsError
 from .indices import GRADE_FIELDS
 
 __all__ = [
-    "INDEX_LABELS",
-    "QUANTILE_CONVENTION",
-    "CorpusStatistics",
-    "CorrelationMatrix",
-    "SummaryStats",
-    "YearAggregate",
-    "correlation_matrix",
-    "cronbach_alpha",
-    "describe",
-    "corpus_statistics",
-    "per_year_aggregate",
+    "INDEX_LABELS", "QUANTILE_CONVENTION", "CorpusStatistics", "CorrelationMatrix",
+    "SummaryStats", "YearAggregate", "correlation_matrix", "cronbach_alpha", "describe",
+    "corpus_statistics", "per_year_aggregate",
 ]
 
-#: Fixed column order for grade matrices and reports: GRADE_FIELDS
-#: without the "gN_" prefix.
+#: Column order of grade matrices and reports: GRADE_FIELDS without "gN_".
 INDEX_LABELS = tuple(field.split("_", 1)[1] for field in GRADE_FIELDS)
 
 QUANTILE_CONVENTION = "linear interpolation between order statistics (type 7)"
@@ -71,9 +60,8 @@ class SummaryStats(NamedTuple):
 class CorpusStatistics(NamedTuple):
     """The corpus-level statistics block over the grades of every document.
 
-    summary has one entry per index label plus "sum_variable".
-    correlations and alpha are None when they cannot be computed; the
-    matching *_note fields say why (e.g. "n < 2").
+    summary has one entry per index label plus "sum_variable". correlations
+    and alpha are None when they cannot be computed; *_note says why (e.g. "n < 2").
     """
 
     summary: dict[str, SummaryStats]
@@ -90,18 +78,25 @@ class YearAggregate(NamedTuple):
     median: float
 
 
-def _moments(columns: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Each column's sum and S[i][j] = n*sum(x_i*x_j) - sum(x_i)*sum(x_j), as ints.
-
-    S[i][j] is n(n-1) times the sample covariance of columns i and j.
-    Raises StatisticsError if any value is not an integer.
-    """
+def _integers(columns: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """The columns with every value an int; StatisticsError if one is not an integer."""
+    if all({int}.issuperset(map(type, column)) for column in columns):
+        return columns
     try:
         exact = [list(map(int, column)) for column in columns]
     except (TypeError, ValueError, OverflowError):
         exact = None
     if exact != [list(column) for column in columns]:
         raise StatisticsError("statistics need integer values")
+    return exact
+
+
+def _moments(columns: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Each column's sum and S[i][j] = n*sum(x_i*x_j) - sum(x_i)*sum(x_j), as ints.
+
+    S[i][j] is n(n-1) times the sample covariance of columns i and j.
+    """
+    exact = _integers(columns)
     n, sums = len(exact[0]), list(map(sum, exact))
     table = [[0] * len(exact) for _ in exact]
     for i, (x, sx) in enumerate(zip(exact, sums)):
@@ -119,13 +114,31 @@ def _sqrt(p: int, q: int) -> float:
     return (root | (root * root * q != p << 2 * s)) / (1 << s)
 
 
+def _correlations(table: list[list[int]]) -> CorrelationMatrix:
+    variances = [row[i] for i, row in enumerate(table)]
+    for label, variance in zip(INDEX_LABELS, variances):
+        if variance == 0:
+            raise ConstantInputError(f"column '{label}' is constant; correlation undefined")
+    return CorrelationMatrix(INDEX_LABELS, tuple(
+        tuple(math.copysign(_sqrt(s * s, vi * vj), s) for s, vj in zip(row, variances))
+        for row, vi in zip(table, variances)
+    ))
+
+
+def _alpha(table: list[list[int]]) -> float:
+    k, total_var = len(table), sum(map(sum, table))
+    item_var = sum(row[i] for i, row in enumerate(table))
+    if total_var == 0:
+        raise DegenerateVarianceError("total-score variance is zero; alpha undefined")
+    return k * (total_var - item_var) / ((k - 1) * total_var)
+
+
 def correlation_matrix(columns: Sequence[Sequence[int]]) -> CorrelationMatrix:
     """Pairwise Pearson matrix over the five integer grade columns.
 
     columns are in GRADE_FIELDS order; the matrix is in INDEX_LABELS
-    order. Each r is sign(S_ij) * sqrt(S_ij^2 / (S_ii * S_jj)). Raises
-    ConstantInputError naming the offending column when any index is
-    constant across documents.
+    order, each r = sign(S_ij) * sqrt(S_ij^2 / (S_ii * S_jj)). Raises
+    ConstantInputError naming the first constant column.
     """
     if len(columns) != len(INDEX_LABELS):
         raise StatisticsError(f"need 5 grade columns, got {len(columns)}")
@@ -134,16 +147,7 @@ def correlation_matrix(columns: Sequence[Sequence[int]]) -> CorrelationMatrix:
         raise StatisticsError("columns have unequal lengths")
     if n < 2:
         raise StatisticsError("need at least 2 documents")
-    _, table = _moments(columns)
-    variances = [row[i] for i, row in enumerate(table)]
-    for label, variance in zip(INDEX_LABELS, variances):
-        if variance == 0:
-            raise ConstantInputError(f"column '{label}' is constant; correlation undefined")
-    cells = tuple(
-        tuple(math.copysign(_sqrt(s * s, vi * vj), s) for s, vj in zip(row, variances))
-        for row, vi in zip(table, variances)
-    )
-    return CorrelationMatrix(labels=INDEX_LABELS, values=cells)
+    return _correlations(_moments(columns)[1])
 
 
 def cronbach_alpha(columns: Sequence[Sequence[int]]) -> float:
@@ -151,23 +155,16 @@ def cronbach_alpha(columns: Sequence[Sequence[int]]) -> float:
 
     alpha = (k/(k-1)) * (1 - sum(item variances) / variance(row sums))
     with sample variances: n(n-1) times them are sum(S_ii) and the sum of
-    every S_ij. So alpha is one int/int division and identical columns
-    give exactly 1.0.
+    every S_ij, so alpha is one int/int division (1.0 for identical columns).
     """
-    k = len(columns)
-    if k < 2:
+    if len(columns) < 2:
         raise StatisticsError("need at least 2 columns")
     n = len(columns[0])
     if n < 2:
         raise StatisticsError("need at least 2 rows")
     if any(len(c) != n for c in columns):
         raise StatisticsError("columns have unequal lengths")
-    _, table = _moments(columns)
-    item_var = sum(row[i] for i, row in enumerate(table))
-    total_var = sum(map(sum, table))
-    if total_var == 0:
-        raise DegenerateVarianceError("total-score variance is zero; alpha undefined")
-    return k * (total_var - item_var) / ((k - 1) * total_var)
+    return _alpha(_moments(columns)[1])
 
 
 def _quantile(ordered: Sequence[int], quarters: int, divisor: int) -> float:
@@ -177,35 +174,28 @@ def _quantile(ordered: Sequence[int], quarters: int, divisor: int) -> float:
     return (ordered[lo] * (4 - f) + ordered[lo + (f > 0)] * f) / (4 * divisor)
 
 
+def _summary(total: int, square: int, ordered: list[int], divisor: int) -> SummaryStats:
+    # From the sorted values, their sum and S_ii. Min and max are type 7 at p = 0 and 1.
+    n = len(ordered)
+    sd = _sqrt(square, n * (n - 1) * divisor**2) if n > 1 else 0.0
+    quantiles = (_quantile(ordered, quarters, divisor) for quarters in (2, 1, 3, 0, 4))
+    return SummaryStats(n, total / (n * divisor), sd, *quantiles)
+
+
 def describe(values: Sequence[int], divisor: int = 1) -> SummaryStats:
     """Summary of the integer values, each divided by divisor (n >= 1)."""
-    n = len(values)
-    if n == 0:
+    if len(values) == 0:
         raise StatisticsError("cannot summarize an empty vector")
-    (total,), ((squares,),) = _moments([values])
-    ordered = sorted(values)
-    return SummaryStats(
-        n=n,
-        mean=total / (n * divisor),
-        standard_deviation=_sqrt(squares, n * (n - 1) * divisor**2) if n > 1 else 0.0,
-        median=_quantile(ordered, 2, divisor),
-        q1=_quantile(ordered, 1, divisor),
-        q3=_quantile(ordered, 3, divisor),
-        min=ordered[0] / divisor,
-        max=ordered[-1] / divisor,
-    )
-
-
-def _sum_column(columns: Mapping[str, Sequence[int]]) -> list[int]:
-    """g1+g2+g3 (FK, SMOG and ARI) per document: 3 times its sum variable."""
-    return [a + b + c for a, b, c in zip(*(columns[f] for f in GRADE_FIELDS[:3]))]
+    (total,), ((square,),) = _moments([values])
+    return _summary(total, square, sorted(values), divisor)
 
 
 def corpus_statistics(columns: Mapping[str, Sequence[int]]) -> CorpusStatistics:
     """Summaries, Pearson correlations and FK/SMOG/ARI Cronbach alpha (n >= 1).
 
     columns maps each of GRADE_FIELDS to one integer grade per document;
-    other keys are ignored. The sum variable is g1+g2+g3 over 3.
+    other keys are ignored. The sum variable is g1+g2+g3 over 3: its sum
+    is s1+s2+s3 and its S the sum of the FK/SMOG/ARI block of the table.
     """
     grades = [columns[field] for field in GRADE_FIELDS]
     n = len(grades[0])
@@ -213,18 +203,23 @@ def corpus_statistics(columns: Mapping[str, Sequence[int]]) -> CorpusStatistics:
         raise StatisticsError("columns have unequal lengths")
     if n == 0:
         raise StatisticsError("cannot summarize an empty vector")
-    summary = {label: describe(column) for label, column in zip(INDEX_LABELS, grades)}
-    summary["sum_variable"] = describe(_sum_column(columns), divisor=3)
+    sums, table = _moments(grades)
+    block = [row[:3] for row in table[:3]]
+    summary = {
+        label: _summary(total, table[i][i], sorted(column), 1)
+        for i, (label, column, total) in enumerate(zip(INDEX_LABELS, grades, sums))
+    }
+    ordered = sorted(map(add, map(add, grades[0], grades[1]), grades[2]))
+    summary["sum_variable"] = _summary(sum(sums[:3]), sum(map(sum, block)), ordered, 3)
     if n < 2:
         return CorpusStatistics(summary, None, "n < 2", None, "n < 2")
-
     correlations = correlations_note = alpha = alpha_note = None
     try:
-        correlations = correlation_matrix(grades)
+        correlations = _correlations(table)
     except StatisticsError as exc:
         correlations_note = str(exc)
     try:
-        alpha = cronbach_alpha(grades[:3])
+        alpha = _alpha(block)
     except StatisticsError as exc:
         alpha_note = str(exc)
     return CorpusStatistics(summary, correlations, correlations_note, alpha, alpha_note)
@@ -233,17 +228,21 @@ def corpus_statistics(columns: Mapping[str, Sequence[int]]) -> CorpusStatistics:
 def per_year_aggregate(columns: Mapping[str, Sequence[int]]) -> list[YearAggregate]:
     """Per-year count, mean and median of the sum variable, years ascending.
 
-    columns maps "year" and the first three of GRADE_FIELDS to one
-    integer per document, as for corpus_statistics; each year's
-    g1+g2+g3 is summarised by describe with divisor 3.
+    columns maps "year" and the first three of GRADE_FIELDS to one integer
+    per document. One pass groups g1+g2+g3 by year; a mean is one int/int division.
     """
-    years = columns["year"]
-    if any(len(columns[field]) != len(years) for field in GRADE_FIELDS[:3]):
+    years, fk, smog, ari = (columns[key] for key in ("year", *GRADE_FIELDS[:3]))
+    if any(len(column) != len(years) for column in (fk, smog, ari)):
         raise StatisticsError("columns have unequal lengths")
+    plain = {int}.issuperset(map(type, years))
+    if not plain or years and not 1000 <= min(years) <= max(years) <= 9999:
+        bad = next(y for y in years if type(y) is not int or not 1000 <= y <= 9999)
+        raise StatisticsError(f"invalid year {bad!r}: expected a 4-digit integer")
+    (totals,) = _integers([list(map(add, map(add, fk, smog), ari))])
     buckets: dict[int, list[int]] = {}
-    for year, total in zip(years, _sum_column(columns)):
-        if not isinstance(year, int) or isinstance(year, bool) or not 1000 <= year <= 9999:
-            raise StatisticsError(f"invalid year {year!r}: expected a 4-digit integer")
+    for year, total in zip(years, totals):
         buckets.setdefault(year, []).append(total)
-    summaries = {year: describe(buckets[year], divisor=3) for year in sorted(buckets)}
-    return [YearAggregate(year, s.n, s.mean, s.median) for year, s in summaries.items()]
+    return [
+        YearAggregate(year, len(b), sum(b) / (3 * len(b)), _quantile(sorted(b), 2, 3))
+        for year, b in sorted(buckets.items())
+    ]

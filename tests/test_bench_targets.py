@@ -9,15 +9,17 @@ it, so a layer reached other than through a module attribute reads 0.
 from __future__ import annotations
 
 import ast
+import csv
 import importlib
 import importlib.util
+import json
 import random
 import sys
-from collections import Counter
 from pathlib import Path
 
 import lexgrade.cli
-import lexgrade.stats
+from lexgrade import stats
+from lexgrade.indices import GRADE_FIELDS
 
 SPANS = Path(__file__).parent.parent / "bench" / "spans.py"
 RESULTS = Path(__file__).parent / "data" / "synthetic55_results.csv"
@@ -45,28 +47,43 @@ def test_traced_functions_exist():
     assert missing == []
 
 
-def _counting(fn, name: str, calls: Counter):
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
+STATS_LAYERS = (
+    "describe", "correlation_matrix", "cronbach_alpha", "per_year_aggregate", "_moments"
+)
 
-    return wrapper
+
+def _command_calls(monkeypatch, argv: list[str]) -> list[tuple[str, tuple]]:
+    """(name, args) of each STATS_LAYERS call while lexgrade.cli.main(argv) runs."""
+    calls = []
+
+    def counting(fn, name):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in STATS_LAYERS:
+            original = getattr(stats, name)
+            wrapper = counting(original, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name == "lexgrade" or module_name.startswith("lexgrade."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            patch.setattr(module, attr, wrapper)
+        assert lexgrade.cli.main(argv) == 0
+    return calls
 
 
 def test_stats_layers_traced(monkeypatch, tmp_path):
-    calls = Counter()
-    for name in ("describe", "correlation_matrix", "cronbach_alpha"):
-        original = getattr(lexgrade.stats, name)
-        wrapper = _counting(original, name, calls)
-        for module_name, module in list(sys.modules.items()):
-            if module_name == "lexgrade" or module_name.startswith("lexgrade."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
-    argv = ["stats", "--results", str(RESULTS), "--out", str(tmp_path / "stats.csv")]
-    assert lexgrade.cli.main(argv) == 0
-    # Five grade columns and the sum variable; one matrix; one alpha.
-    assert calls == {"describe": 6, "correlation_matrix": 1, "cronbach_alpha": 1}
+    out = ["--out", str(tmp_path / "out.csv")]
+    # stats reads every figure from one moment table over the five grade
+    # columns; report groups by year and builds no table.
+    calls = _command_calls(monkeypatch, ["stats", "--results", str(RESULTS), *out])
+    assert [(name, len(args[0])) for name, args in calls] == [("_moments", 5)]
+    calls = _command_calls(monkeypatch, ["report", "--results", str(RESULTS), *out])
+    assert [name for name, _ in calls] == ["per_year_aggregate"]
 
 
 def test_benchmark_results_rows_read(monkeypatch, tmp_path):
@@ -79,5 +96,26 @@ def test_benchmark_results_rows_read(monkeypatch, tmp_path):
     results = tmp_path / "results.csv"
     workloads.write_results(random.Random(20), {2000: results}, "0.1.0")
     for command in ("stats", "report"):
-        argv = [command, "--results", str(results), "--out", str(tmp_path / "out.csv")]
+        out = str(tmp_path / f"{command}.json")
+        argv = [command, "--results", str(results), "--out", out, "--format", "json"]
         assert lexgrade.cli.main(argv) == 0
+
+    # stats reads its figures from one shared moment table; at this shape
+    # they equal what the public functions give column by column.
+    with results.open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    grades = [[int(row[field]) for row in rows] for field in GRADE_FIELDS]
+    sums = [a + b + c for a, b, c in zip(*grades[:3])]
+    summaries = [*map(stats.describe, grades), stats.describe(sums, divisor=3)]
+    expected = {
+        "summary": {
+            label: s._asdict()
+            for label, s in zip((*stats.INDEX_LABELS, "sum_variable"), summaries)
+        },
+        "correlations": stats.correlation_matrix(grades)._asdict(),
+        "correlations_note": None,
+        "alpha": stats.cronbach_alpha(grades[:3]),
+        "alpha_note": None,
+    }
+    payload = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))
+    assert {key: payload[key] for key in expected} == json.loads(json.dumps(expected))

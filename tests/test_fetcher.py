@@ -285,6 +285,35 @@ class TestFetchDocument:
         assert "429" in result.detail
         assert len(stub_repo.requests) == 3
 
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_lengthens_wait(self, stub_repo, tmp_path, status):
+        # The backoff alone would wait 0.1 s; the largest backoff is 1.6 s.
+        stub_repo.pages["32016R0002"] = Reply(status=status, headers={"Retry-After": "1"})
+        fetch_document("32016R0002", tmp_path, settings(stub_repo, delay_ms=100))
+        (gap,) = stub_repo.request_gaps()
+        assert gap >= 1.0
+
+    @pytest.mark.parametrize(
+        "delay_ms, value", [(20, "86400"), (20, "9" * 5000), (0, "5")]
+    )
+    def test_retry_after_capped(self, stub_repo, tmp_path, delay_ms, value):
+        # At most the largest backoff, 2**(MAX_RETRIES-1) times the delay.
+        cap_s = delay_ms / 1000 * 2 ** (MAX_RETRIES - 1)
+        stub_repo.pages["32016R0002"] = Reply(status=503, headers={"Retry-After": value})
+        fetch_document("32016R0002", tmp_path, settings(stub_repo, delay_ms=delay_ms))
+        (gap,) = stub_repo.request_gaps()
+        assert cap_s <= gap < cap_s + 0.5
+
+    @pytest.mark.parametrize(
+        "value", ["Wed, 21 Oct 2026 07:28:00 GMT", "1.5", "-1", "+1", "soon", "²", ""]
+    )
+    def test_retry_after_not_delta_seconds_ignored(self, stub_repo, tmp_path, value):
+        # Honoured, any of these would wait the 0.8 s cap instead of the 0.05 s backoff.
+        stub_repo.pages["32016R0002"] = Reply(status=429, headers={"Retry-After": value})
+        fetch_document("32016R0002", tmp_path, settings(stub_repo, delay_ms=50))
+        (gap,) = stub_repo.request_gaps()
+        assert 0.05 <= gap < 0.5
+
     @pytest.mark.parametrize(
         "content_type", ["text/html", "text/html; charset=utf-8", "text/html; charset=UTF-8"]
     )

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lexgrade.errors import (
@@ -212,6 +212,14 @@ class TestPerYearAggregate:
         with pytest.raises(StatisticsError):
             per_year_aggregate(year_columns((12345, 1, 1, 1)))
 
+    @pytest.mark.parametrize("bad", [999, 10000, True, 1990.0, "1990", None])
+    def test_invalid_year_named_first(self, bad):
+        columns = year_columns((1990, 1, 1, 1), (2001, 2, 2, 2), (1991, 3, 3, 3))
+        columns["year"][1:] = [bad, 12345]
+        with pytest.raises(StatisticsError) as raised:
+            per_year_aggregate(columns)
+        assert str(raised.value) == f"invalid year {bad!r}: expected a 4-digit integer"
+
     def test_counts_sum_to_input_length(self):
         records = [(1990 + (i % 7), i, i, i) for i in range(23)]
         rows = per_year_aggregate(year_columns(*records))
@@ -338,6 +346,9 @@ class TestAgainstReference:
     @given(st.integers(1, 25).flatmap(
         lambda n: st.lists(st.lists(_grade, min_size=n, max_size=n), min_size=5, max_size=5)
     ))
+    # A constant Coleman-Liau column; a constant ARI column and FK/SMOG/ARI sums.
+    @example([[1, 2, 3], [2, 1, 3], [3, 3, 1], [4, 4, 4], [1, 5, 2]])
+    @example([[1, 2, 3], [3, 2, 1], [2, 2, 2], [1, 4, 9], [5, 1, 2]])
     def test_corpus_statistics(self, grades):
         # The sum variable is g1+g2+g3 over 3. Its mean, sd and quantiles
         # equal the oracle's, and its min and max those of the float
@@ -362,14 +373,27 @@ class TestAgainstReference:
         try:
             expected = reference.correlation_values(grades)
         except ConstantInputError:
+            # The note is the message correlation_matrix raises, naming the column.
             assert statistics.correlations is None
-            assert "is constant" in statistics.correlations_note
+            with pytest.raises(ConstantInputError) as raised:
+                correlation_matrix(grades)
+            assert statistics.correlations_note == str(raised.value)
         else:
             assert statistics.correlations.labels == INDEX_LABELS
             assert statistics.correlations.values == expected
             assert statistics.correlations_note is None
-        alpha = _outcome(reference.cronbach_alpha, grades[:3])
+        alpha = _outcome(cronbach_alpha, grades[:3])
+        assert alpha == _outcome(reference.cronbach_alpha, grades[:3])
         if isinstance(alpha, float):
             assert (statistics.alpha, statistics.alpha_note) == (alpha, None)
         else:
             assert (statistics.alpha, statistics.alpha_note) == (None, alpha[1])
+
+    @pytest.mark.parametrize("column", range(5))
+    @pytest.mark.parametrize("bad", [2.5, "2", None])
+    def test_corpus_statistics_non_integer(self, column, bad):
+        grades = [[3, 5, 7, 9] for _ in GRADE_FIELDS]
+        grades[column][2] = bad
+        with pytest.raises(StatisticsError) as raised:
+            corpus_statistics(dict(zip(GRADE_FIELDS, grades)))
+        assert str(raised.value) == "statistics need integer values"
