@@ -48,24 +48,15 @@ from .errors import (
     ManifestError,
     ResultsFormatError,
 )
-from .indices import GRADE_FIELDS, LINSEAR_MODES
-from .stats import QUANTILE_CONVENTION, corpus_statistics, per_year_aggregate
+from .indices import GRADE_FIELDS, LINSEAR_MODES, GradeVector
+from .segmenter import TextMetrics
+from .stats import QUANTILE_CONVENTION, YearAggregate, corpus_statistics, per_year_aggregate
 
+#: The columns of an analyze results file: the manifest's, the counts,
+#: the two counts that split word_count, the grades.
 ANALYZE_COLUMNS = (
-    "id",
-    "doc_type",
-    "year",
-    "domain",
-    "sentence_count",
-    "word_count",
-    "syllable_count",
-    "polysyllable_count",
-    "character_count",
-    "letter_count",
-    "easy_word_count",
-    "hard_word_count",
-    *GRADE_FIELDS,
-    "sum_variable",
+    "id", "doc_type", "year", "domain", *TextMetrics._fields,
+    "easy_word_count", "hard_word_count", *GradeVector._fields,
 )
 _WIDTH = len(ANALYZE_COLUMNS)
 _HEADER = ",".join(ANALYZE_COLUMNS)
@@ -178,12 +169,9 @@ def _fail(message: str) -> None:
 
 def _int_setting(name: str, value: str) -> int:
     try:
-        number = int(value)
+        return int(value)
     except ValueError:
         raise LexgradeError(f"{name} must be an integer, got '{value}'") from None
-    if number < 0:
-        raise LexgradeError(f"{name} must be non-negative, got {number}")
-    return number
 
 
 def _run_fetch(args: argparse.Namespace) -> int:
@@ -194,7 +182,7 @@ def _run_fetch(args: argparse.Namespace) -> int:
     settings = FetchSettings(
         base_url=DEFAULT_BASE_URL if args.base_url is None else args.base_url,
         delay_ms=_int_setting("--delay-ms", args.delay_ms),
-        concurrency=max(1, _int_setting("--concurrency", args.concurrency)),
+        concurrency=_int_setting("--concurrency", args.concurrency),
         retries=_int_setting("--retries", args.retries),
         user_agent=_env("USER_AGENT", FetchSettings().user_agent),
     )
@@ -214,23 +202,13 @@ def _run_fetch(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _grade_row(row) -> dict:
-    record, m, g = row.record, row.metrics, row.grades
-    return {
-        "id": record.id,
-        "doc_type": record.doc_type.value,
-        "year": record.year,
-        "domain": record.domain.value,
-        "sentence_count": m.sentence_count,
-        "word_count": m.word_count,
-        "syllable_count": m.syllable_count,
-        "polysyllable_count": m.polysyllable_count,
-        "character_count": m.character_count,
-        "letter_count": m.letter_count,
-        "easy_word_count": m.word_count - m.polysyllable_count,
-        "hard_word_count": m.polysyllable_count,
-        **g._asdict(),
-    }
+def _grade_row(row) -> tuple:
+    """One ANALYZE_COLUMNS row."""
+    record, m = row.record, row.metrics
+    return (
+        record.id, record.doc_type.value, record.year, record.domain.value, *m,
+        m.word_count - m.polysyllable_count, m.polysyllable_count, *row.grades,
+    )
 
 
 def _write_out(path: str, text: str) -> None:
@@ -243,18 +221,20 @@ def _write_out(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _write_table(path: str, fmt: str, meta: dict, columns, rows: list[dict]) -> None:
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _write_table(path: str, fmt: str, meta: dict, columns, rows) -> None:
+    """Write rows, each a sequence of values in columns order, as CSV or JSON."""
     if fmt == "json":
+        rows = [dict(zip(columns, row)) for row in rows]
         _write_out(path, json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n")
         return
-    buffer = io.StringIO()
-    for key, value in meta.items():
-        buffer.write(f"# {key}: {value}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[c] for c in columns])
-    _write_out(path, buffer.getvalue())
+    head = "".join(f"# {key}: {value}\n" for key, value in meta.items())
+    _write_out(path, head + _csv_text([columns, *rows]))
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
@@ -423,26 +403,21 @@ def _write_stats(path: str, fmt: str, payload: dict) -> None:
     if fmt == "json":
         _write_out(path, json.dumps(payload, indent=2) + "\n")
         return
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("section", "name", "field", "value"))
-    for key, value in payload["meta"].items():
-        writer.writerow(("meta", key, "", value))
+    rows = [("section", "name", "field", "value")]
+    rows += (("meta", key, "", value) for key, value in payload["meta"].items())
     for index, cells in payload["summary"].items():
-        for stat, value in cells.items():
-            writer.writerow(("summary", index, stat, value))
+        rows += (("summary", index, *cell) for cell in cells.items())
     if payload["correlations"] is not None:
         labels = payload["correlations"]["labels"]
         for label, row in zip(labels, payload["correlations"]["values"]):
-            for other, value in zip(labels, row):
-                writer.writerow(("correlations", label, other, value))
+            rows += (("correlations", label, *cell) for cell in zip(labels, row))
     if payload["correlations_note"]:
-        writer.writerow(("note", "correlations", "", payload["correlations_note"]))
+        rows.append(("note", "correlations", "", payload["correlations_note"]))
     if payload["alpha"] is not None:
-        writer.writerow(("alpha", "fk_smog_ari", "", payload["alpha"]))
+        rows.append(("alpha", "fk_smog_ari", "", payload["alpha"]))
     if payload["alpha_note"]:
-        writer.writerow(("note", "alpha", "", payload["alpha_note"]))
-    _write_out(path, buffer.getvalue())
+        rows.append(("note", "alpha", "", payload["alpha_note"]))
+    _write_out(path, _csv_text(rows))
 
 
 def _run_stats(args: argparse.Namespace) -> int:
@@ -470,15 +445,9 @@ def _run_stats(args: argparse.Namespace) -> int:
 def _run_report(args: argparse.Namespace) -> int:
     meta, columns = _read_results(args.results)
     aggregate = per_year_aggregate(columns)
-    out_rows = [
-        {"year": a.year, "count": a.count, "mean": a.mean, "median": a.median}
-        for a in aggregate
-    ]
     out_meta = {"lexgrade_version": __version__, "value": "sum_variable"}
-    _write_table(
-        args.out, args.format, out_meta, ("year", "count", "mean", "median"), out_rows
-    )
-    print(f"{len(out_rows)} year rows written to {args.out}", file=sys.stderr)
+    _write_table(args.out, args.format, out_meta, YearAggregate._fields, aggregate)
+    print(f"{len(aggregate)} year rows written to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -487,10 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LexgradeError as exc:
-        _fail(str(exc))
-        return 2
-    except OSError as exc:
+    except (LexgradeError, OSError) as exc:
         _fail(str(exc))
         return 2
 

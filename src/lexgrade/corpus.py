@@ -144,7 +144,7 @@ def _parse_record(raw: dict, where: str, seen_ids: set[str]) -> DocumentRecord:
 
     year_raw = str(raw["year"]).strip()
     # The same 1000-9999 range that stats and report accept.
-    if not (re.fullmatch(r"\d{4}", year_raw) and int(year_raw) >= 1000):
+    if not (re.fullmatch("[0-9]{4}", year_raw) and int(year_raw) >= 1000):
         raise ManifestError(f"{where}: year '{year_raw}' is not a 4-digit year")
 
     return DocumentRecord(

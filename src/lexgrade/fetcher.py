@@ -86,7 +86,7 @@ MAX_RETRIES = 5
 _USER_AGENT = f"lexgrade/{__version__} (readability corpus fetcher)"
 
 # sector digit, 4-digit year, 1-2 type letters, document number
-_CELEX = re.compile(r"^[0-9]\d{4}[A-Z]{1,2}\d{1,5}$")
+_CELEX = re.compile("[0-9]{5}[A-Z]{1,2}[0-9]{1,5}")
 
 
 class _FetchFields(NamedTuple):
@@ -99,7 +99,11 @@ class _FetchFields(NamedTuple):
 
 
 class FetchSettings(_FetchFields):
-    """Network and politeness configuration, checked whenever one is built."""
+    """Network and politeness configuration, checked whenever one is built.
+
+    delay_ms, concurrency and retries must be non-negative; concurrency and
+    retries are capped at MAX_CONCURRENCY and MAX_RETRIES.
+    """
 
     __slots__ = ()
 
@@ -113,6 +117,9 @@ class FetchSettings(_FetchFields):
             raise LexgradeError(
                 f"base URL must be http:// or https:// with a host, got '{self.base_url}'"
             )
+        for field in ("delay_ms", "concurrency", "retries"):
+            if getattr(self, field) < 0:
+                raise LexgradeError(f"{field} must be non-negative, got {getattr(self, field)}")
         if self.concurrency > MAX_CONCURRENCY:
             raise LexgradeError(
                 f"concurrency must be at most {MAX_CONCURRENCY}, got {self.concurrency}"

@@ -238,7 +238,8 @@ def per_year_aggregate(columns: Mapping[str, Sequence[int]]) -> list[YearAggrega
     if not plain or years and not 1000 <= min(years) <= max(years) <= 9999:
         bad = next(y for y in years if type(y) is not int or not 1000 <= y <= 9999)
         raise StatisticsError(f"invalid year {bad!r}: expected a 4-digit integer")
-    (totals,) = _integers([list(map(add, map(add, fk, smog), ari))])
+    fk, smog, ari = _integers([fk, smog, ari])
+    totals = list(map(add, map(add, fk, smog), ari))
     buckets: dict[int, list[int]] = {}
     for year, total in zip(years, totals):
         buckets.setdefault(year, []).append(total)

@@ -6,8 +6,10 @@ compare against. Sentence boundaries come from a regex over the whole
 text with a backward scan for abbreviations; each Linsear window is
 joined back into a string and segmented again. linsear_words scores
 (syllables, ends_sentence) words instead, with each window's score an
-exact Fraction, and codes maps such words to scan's code string.
-Nothing in the package imports this module.
+exact Fraction, and codes maps such words to scan's code string. Words
+come from this module's own tokenize_words; only ABBREVIATIONS and
+count_syllables are shared with the package. Nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import unicodedata
 from fractions import Fraction
 
 from lexgrade.errors import DegenerateTextError
-from lexgrade.segmenter import ABBREVIATIONS, count_syllables, tokenize_words
+from lexgrade.segmenter import ABBREVIATIONS, count_syllables
 
 # Terminator, optionally followed by closing quotes/brackets, then
 # whitespace or end of text.
@@ -30,6 +32,11 @@ _OPENERS = "\"'([{‘“«"
 
 def _has_word(fragment: str) -> bool:
     return any(ch.isalnum() for ch in fragment)
+
+
+def tokenize_words(text: str) -> list[str]:
+    """Whitespace-delimited runs of the NFC text that hold an alphanumeric character."""
+    return [token for token in unicodedata.normalize("NFC", text).split() if _has_word(token)]
 
 
 def _is_abbreviation(text: str, dot_index: int) -> bool:

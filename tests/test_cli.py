@@ -164,6 +164,17 @@ class TestAnalyze:
             rule = f"id {doc_id!r} must not hold a comma, a quote, CR or LF, or start with '#'"
             expected[bad_csv] = f"{bad_csv} row 3: {rule}"
             expected[bad_json] = f"{bad_json} entry 1: {rule}"
+        # Years in digits other than ASCII, which results files refuse too.
+        for n, year in enumerate(["\u0661\u0669\u0669\u0665", "\uff11\uff19\uff19\uff15"]):
+            bad_csv, bad_json = corpus / f"year{n}.csv", corpus / f"year{n}.json"
+            bad_csv.write_text(MANIFEST.replace("1995,Second", f"{year},Second"),
+                               encoding="utf-8")
+            bad_json.write_text(json.dumps([{
+                "id": "a", "doc_type": "COM", "year": year, "title": "T",
+                "domain": "GeneralRules", "source": "a.txt",
+            }]), encoding="utf-8")
+            expected[bad_csv] = f"{bad_csv} row 3: year '{year}' is not a 4-digit year"
+            expected[bad_json] = f"{bad_json} entry 1: year '{year}' is not a 4-digit year"
         for manifest, message in expected.items():
             assert main([
                 "analyze", "--manifest", str(manifest),
@@ -686,6 +697,24 @@ class TestFetchCommand:
             "--retries", str(MAX_RETRIES + 1),
         ]) == 2
         assert f"got {MAX_RETRIES + 1}" in capsys.readouterr().err
+        assert stub_repo.requests == []
+        assert not (corpus / "cache").exists()
+
+    @pytest.mark.parametrize("flag", ["--delay-ms", "--concurrency", "--retries"])
+    def test_negative_setting_is_config_error(self, corpus, stub_repo, flag, capsys):
+        stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
+        manifest = corpus / "fetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n",
+            encoding="utf-8",
+        )
+        assert main([
+            "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
+            "--base-url", stub_repo.base_url, "--delay-ms", "0", flag, "-1",
+        ]) == 2
+        field = flag[2:].replace("-", "_")
+        assert f"{field} must be non-negative, got -1" in capsys.readouterr().err
         assert stub_repo.requests == []
         assert not (corpus / "cache").exists()
 

@@ -127,7 +127,9 @@ class TestLoadManifest:
         assert records[0].id == "32016R0679"
 
     @pytest.mark.parametrize(
-        "year, accepted", [("0999", False), ("0000", False), ("1000", True), ("9999", True)]
+        "year, accepted",
+        [("0999", False), ("0000", False), ("1000", True), ("9999", True),
+         ("\u0662\u0660\u0661\u0666", False), ("\uff12\uff10\uff11\uff16", False)],
     )
     def test_year_range(self, tmp_path, year, accepted):
         csv_manifest = tmp_path / "m.csv"

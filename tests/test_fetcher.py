@@ -75,7 +75,12 @@ class TestCelexUrl:
         b = celex_url("32002L0058")
         assert a.replace("32016R0679", "32002L0058") == b
 
-    @pytest.mark.parametrize("bad", ["GDPR", "3201R0679", "32016r0679", "32016R"])
+    @pytest.mark.parametrize(
+        "bad",
+        # ASCII digits only: \d would admit the Arabic-Indic and fullwidth ones.
+        ["GDPR", "3201R0679", "32016r0679", "32016R", "3\u0662\u0660\u0661\u0666R0679",
+         "32016R\uff10\uff16\uff17\uff19", "32016R0679\n"],
+    )
     def test_malformed_ids(self, bad):
         with pytest.raises(MalformedCelexError):
             celex_url(bad)
@@ -561,6 +566,23 @@ class TestFetchAll:
             assert build(retries=MAX_RETRIES).retries == MAX_RETRIES
             with pytest.raises(LexgradeError, match=f"at most {MAX_RETRIES}, got 6"):
                 build(retries=MAX_RETRIES + 1)
+
+    @pytest.mark.parametrize("field", ["delay_ms", "concurrency", "retries"])
+    def test_negative_setting_rejected(self, field):
+        for build in BUILDS:
+            assert getattr(build(**{field: 0}), field) == 0
+            with pytest.raises(
+                LexgradeError, match=re.escape(f"{field} must be non-negative, got -1")
+            ):
+                build(**{field: -1})
+
+    def test_zero_retries_is_one_attempt(self, stub_repo, tmp_path):
+        stub_repo.pages["32016R0002"] = 503
+        result = fetch_document("32016R0002", tmp_path, settings(stub_repo, retries=0))
+        assert result.status is FetchStatus.TRANSPORT_ERROR
+        url = celex_url("32016R0002", stub_repo.base_url)
+        assert result.detail == f"1 attempts failed; last error: HTTP 503 at {url}"
+        assert len(stub_repo.requests) == 1
 
     def test_settings_are_immutable(self):
         s = FetchSettings()

@@ -266,7 +266,7 @@ def test_manifest_ids_round_trip(tmp_path_factory, doc_id):
             (record,) = load_manifest(manifest)
         except ManifestError:
             continue
-        row = dict(zip(ANALYZE_COLUMNS, _ROW.split(",")), id=record.id)
+        row = (record.id, *_ROW.split(",")[1:])
         out = base / "results.csv"
         _write_table(str(out), "csv", {"linsear_mode": "windowed"}, ANALYZE_COLUMNS, [row])
         text = out.read_text(encoding="utf-8")

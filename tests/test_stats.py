@@ -220,6 +220,19 @@ class TestPerYearAggregate:
             per_year_aggregate(columns)
         assert str(raised.value) == f"invalid year {bad!r}: expected a 4-digit integer"
 
+    @pytest.mark.parametrize("key", GRADE_FIELDS[:3])
+    @pytest.mark.parametrize("bad", [2.5, "2", None])
+    def test_non_integer_grade(self, key, bad):
+        columns = year_columns((1990, 1, 1, 1), (1990, 2, 2, 2))
+        columns[key][0] = bad
+        with pytest.raises(StatisticsError) as raised:
+            per_year_aggregate(columns)
+        assert str(raised.value) == "statistics need integer values"
+
+    def test_non_integer_grades_with_integer_sum(self):
+        with pytest.raises(StatisticsError, match="^statistics need integer values$"):
+            per_year_aggregate(year_columns((1990, 0.5, 0.5, 2)))
+
     def test_counts_sum_to_input_length(self):
         records = [(1990 + (i % 7), i, i, i) for i in range(23)]
         rows = per_year_aggregate(year_columns(*records))
