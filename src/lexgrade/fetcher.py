@@ -21,6 +21,15 @@ bound; an HTTP-date or any other value is ignored. The base URL
 can be overridden, which is also how tests point the fetcher at a local
 stub server; it must be http:// or https:// with a host.
 
+One request at a time, writing a fresh page to the cache (extracting its
+text, then the two atomic writes) overlaps the next request: one writer
+thread, started at the first miss, stores each page while the main thread
+makes the next request, which still starts no sooner than the delay
+allows. At most one page waits for the writer. A fetch interrupted after
+a handover still waits for that write to end, so it leaves no temporary
+file and no .txt without its .meta. Cache files are made as open() makes
+them and follow the umask. A fully cached fetch starts no thread.
+
 HTTP goes through the standard library's urllib, with no third-party
 client. Redirects are followed. The http_proxy, https_proxy and no_proxy
 environment variables are honoured by urllib's ProxyHandler. TLS checks
@@ -46,16 +55,16 @@ every such region, so a page that omits </head> keeps its text.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
-import tempfile
 import threading
 import time
 import urllib.error
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from . import __version__
@@ -380,7 +389,18 @@ def _retry_after(value: str | None, cap_s: float) -> float:
 
 
 def _atomic_write(path: Path, content: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    """Replace path with content through a new file beside it.
+
+    The new file is made with mode 0o666, as open() makes one, so cache
+    files follow the umask; tempfile.mkstemp would make them 0o600.
+    """
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
@@ -391,11 +411,73 @@ def _atomic_write(path: Path, content: str) -> None:
         raise
 
 
+def _store_page(meta_path: Path, meta: str, text_path: Path, html: str) -> None:
+    """Write a fetched page's .meta, then its text, each atomically, so an
+    interrupted write never leaves a hit without its source."""
+    _atomic_write(meta_path, meta)
+    _atomic_write(text_path, extract_text_from_html(html))
+
+
+class _PageWriter:
+    """Stores fetched pages on one thread while the next request runs.
+
+    hand() first waits until the page handed before has been stored, so
+    at most one page ever waits. close() lets the thread store that page
+    and waits for it to end. failures maps the key of each page that
+    could not be stored to the reason.
+    """
+
+    def __init__(self) -> None:
+        self.failures: dict[int, str] = {}
+        self._page: tuple | None = None  # set from hand() until stored
+        self._closed = False
+        self._changed = threading.Condition()
+        self._thread: threading.Thread | None = None
+
+    def hand(self, key: int, *page) -> None:
+        if self._thread is None:
+            # Started before a page is handed over: if it cannot start, no
+            # page waits for it.
+            thread = threading.Thread(
+                target=self._run, name="lexgrade-cache-writer", daemon=True
+            )
+            thread.start()
+            self._thread = thread
+        with self._changed:
+            self._changed.wait_for(lambda: self._page is None)
+            self._page = (key, page)
+            self._changed.notify()
+
+    def close(self) -> None:
+        with self._changed:
+            self._closed = True
+            self._changed.notify()
+        if self._thread is not None:
+            self._thread.join()
+
+    def _run(self) -> None:
+        while True:
+            with self._changed:
+                self._changed.wait_for(lambda: self._page is not None or self._closed)
+                if self._page is None:
+                    return
+                key, page = self._page
+            try:
+                _store_page(*page)
+            except Exception as exc:  # unwritable cache, ...
+                self.failures[key] = str(exc)
+            finally:
+                with self._changed:
+                    self._page = None
+                    self._changed.notify()
+
+
 def fetch_document(
     celex_id: str,
     cache_dir: str | Path,
     settings: FetchSettings = FetchSettings(),
     _limiter: _RateLimiter | None = None,
+    _store: Callable[[Path, str, Path, str], None] = _store_page,
 ) -> FetchResult:
     """Fetch one document into the cache, or serve it from there.
 
@@ -486,20 +568,13 @@ def fetch_document(
             html = body.decode("utf-8", errors="replace")
 
         retrieved_at = datetime.now(timezone.utc).isoformat()
-        _atomic_write(
-            meta_path,
-            json.dumps(
-                {
-                    "id": celex_id,
-                    "source_url": url,
-                    "rendition": "HTML, English, non-consolidated",
-                    "retrieved_at": retrieved_at,
-                },
-                indent=2,
-            )
-            + "\n",
-        )
-        _atomic_write(text_path, extract_text_from_html(html))
+        meta = {
+            "id": celex_id,
+            "source_url": url,
+            "rendition": "HTML, English, non-consolidated",
+            "retrieved_at": retrieved_at,
+        }
+        _store(meta_path, json.dumps(meta, indent=2) + "\n", text_path, html)
         return FetchResult(
             id=celex_id,
             status=FetchStatus.FETCHED_FRESH,
@@ -524,21 +599,44 @@ def fetch_all(
     Per-document problems are surfaced in the result statuses, never
     raised. Fetches may overlap up to settings.concurrency; starts are
     still spaced by the politeness delay.
+
+    One request at a time (concurrency 1), each fresh page's text is
+    extracted and written to the cache on one writer thread while the
+    main thread makes the next request. Before handing over a page it
+    waits for the previous page's write, so at most one page waits.
+    A write that fails makes that document's result a TransportError.
+    The writer finishes its page before fetch_all returns or raises, so
+    an interrupt leaves no temporary file; a second interrupt during that
+    wait may.
     """
     limiter = _RateLimiter(settings.delay_ms / 1000.0)
 
-    def one(record: DocumentRecord) -> FetchResult:
+    def one(record: DocumentRecord, store=_store_page) -> FetchResult:
         try:
-            return fetch_document(record.id, cache_dir, settings, _limiter=limiter)
+            return fetch_document(
+                record.id, cache_dir, settings, _limiter=limiter, _store=store
+            )
         except Exception as exc:  # malformed ids, unwritable cache, ...
             return FetchResult(
                 id=record.id, status=FetchStatus.TRANSPORT_ERROR, detail=str(exc)
             )
 
-    if settings.concurrency <= 1 or len(records) <= 1:
-        return [one(record) for record in records]
+    if settings.concurrency > 1 and len(records) > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-    from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=settings.concurrency) as pool:
+            return list(pool.map(one, records))
 
-    with ThreadPoolExecutor(max_workers=settings.concurrency) as pool:
-        return list(pool.map(one, records))
+    writer = _PageWriter()
+    try:
+        results = [
+            one(record, functools.partial(writer.hand, i))
+            for i, record in enumerate(records)
+        ]
+    finally:
+        writer.close()
+    for i, detail in writer.failures.items():
+        results[i] = FetchResult(
+            id=results[i].id, status=FetchStatus.TRANSPORT_ERROR, detail=detail
+        )
+    return results

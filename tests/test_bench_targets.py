@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import lexgrade.cli
-from lexgrade import stats
+from lexgrade import fetcher, stats
 from lexgrade.indices import GRADE_FIELDS
 
 SPANS = Path(__file__).parent.parent / "bench" / "spans.py"
@@ -52,8 +52,11 @@ STATS_LAYERS = (
 )
 
 
-def _command_calls(monkeypatch, argv: list[str]) -> list[tuple[str, tuple]]:
-    """(name, args) of each STATS_LAYERS call while lexgrade.cli.main(argv) runs."""
+def _command_calls(
+    monkeypatch, argv: list[str], layer=stats, names=STATS_LAYERS, status=0
+) -> list[tuple[str, tuple]]:
+    """(name, args) of each call of layer's named functions, made through a
+    lexgrade module attribute while lexgrade.cli.main(argv) runs."""
     calls = []
 
     def counting(fn, name):
@@ -64,15 +67,15 @@ def _command_calls(monkeypatch, argv: list[str]) -> list[tuple[str, tuple]]:
         return wrapper
 
     with monkeypatch.context() as patch:
-        for name in STATS_LAYERS:
-            original = getattr(stats, name)
+        for name in names:
+            original = getattr(layer, name)
             wrapper = counting(original, name)
             for module_name, module in list(sys.modules.items()):
                 if module_name == "lexgrade" or module_name.startswith("lexgrade."):
                     for attr, value in list(vars(module).items()):
                         if value is original:
                             patch.setattr(module, attr, wrapper)
-        assert lexgrade.cli.main(argv) == 0
+        assert lexgrade.cli.main(argv) == status
     return calls
 
 
@@ -84,6 +87,29 @@ def test_stats_layers_traced(monkeypatch, tmp_path):
     assert [(name, len(args[0])) for name, args in calls] == [("_moments", 5)]
     calls = _command_calls(monkeypatch, ["report", "--results", str(RESULTS), *out])
     assert [name for name, _ in calls] == ["per_year_aggregate"]
+
+
+def test_fetch_layers_traced(monkeypatch, tmp_path, stub_repo):
+    # fetch_all calls fetch_document once per document, and the cache writer
+    # extracts each fresh page's text through the module attribute, so the
+    # fetch spans and fetcher.extract_text_from_html.s see the moved work.
+    ids = ["31995L0046", "32016R0679", "39999R9999"]  # the last one is a 404
+    for doc_id in ids[:2]:
+        stub_repo.pages[doc_id] = f"<p>Text of {doc_id}.</p>"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "id,doc_type,year,title,domain,source\n"
+        + "".join(f"{i},Directive,1995,T,PersonalDataPrivacy,{i}\n" for i in ids),
+        encoding="utf-8",
+    )
+    argv = ["fetch", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
+            "--base-url", stub_repo.base_url, "--delay-ms", "0"]
+    names = ("fetch_document", "extract_text_from_html")
+    calls = _command_calls(monkeypatch, argv, fetcher, names, status=1)
+    assert sorted(name for name, _ in calls) == [
+        "extract_text_from_html", "extract_text_from_html",
+        "fetch_document", "fetch_document", "fetch_document",
+    ]
 
 
 def test_benchmark_results_rows_read(monkeypatch, tmp_path):

@@ -786,8 +786,9 @@ print(sorted(network & set(sys.modules)))
         assert out.stdout.strip() == "False"
 
     def test_warm_fetch_loads_no_network_stack(self, corpus, stub_repo):
-        # A fetch whose every document is a cache hit makes no request, and
-        # imports nothing that only a request or the text of a page needs.
+        # A fetch whose every document is a cache hit makes no request,
+        # imports nothing that only a request or the text of a page needs,
+        # and starts no thread (the cache writer starts at the first miss).
         stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
         manifest = corpus / "fetch_manifest.csv"
         manifest.write_text(
@@ -806,16 +807,17 @@ print(sorted(network & set(sys.modules)))
         script = """
 import json
 import sys
+import threading
 import lexgrade.cli
 assert lexgrade.cli.main(json.loads(sys.argv[1])) == 0
-print(sorted({"ssl", "urllib.request", "http.client", "html", "html.parser"}
-             & set(sys.modules)))
+print(sorted({"ssl", "urllib.request", "http.client", "html", "html.parser",
+              "concurrent.futures"} & set(sys.modules)), threading.active_count())
 """
         out = subprocess.run(
             [sys.executable, "-c", script, json.dumps(argv)],
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.strip() == "[] 1"
         assert "0 fresh, 1 cached, 0 failed" in out.stderr
         assert len(stub_repo.requests) == requests
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -539,6 +543,110 @@ class TestFetchAll:
         # if the stub failed to see overlap.
         self._fetch_held(stub_repo, tmp_path, concurrency=4)
         assert stub_repo.max_active > 1
+
+    def test_unwritable_page_fails_alone(self, stub_repo, tmp_path):
+        ids = ["31995L0046", "32016R0679", "32019L0790"]
+        for doc_id in ids:
+            stub_repo.pages[doc_id] = f"<p>Text of {doc_id}.</p>"
+        (tmp_path / "32016R0679.txt").mkdir()  # no file can replace a directory
+        results = fetch_all([record(i) for i in ids], tmp_path, settings(stub_repo))
+        assert [r.id for r in results] == ids
+        assert [r.status for r in results] == [
+            FetchStatus.FETCHED_FRESH,
+            FetchStatus.TRANSPORT_ERROR,
+            FetchStatus.FETCHED_FRESH,
+        ]
+        assert "32016R0679.txt" in results[1].detail
+        assert [r.text_path.read_text(encoding="utf-8") for r in results[::2]] == [
+            "Text of 31995L0046.", "Text of 32019L0790."
+        ]
+        assert not list(tmp_path.glob(".*"))
+
+    def test_at_most_one_page_waits_for_the_writer(self, stub_repo, tmp_path, monkeypatch):
+        ids = [f"3202{i}R000{i}" for i in range(4)]
+        for doc_id in ids:
+            stub_repo.pages[doc_id] = f"<p>{doc_id}</p>"
+        release = threading.Event()
+        extract = fetcher.extract_text_from_html
+
+        def held(html):
+            assert release.wait(timeout=10)
+            return extract(html)
+
+        monkeypatch.setattr(fetcher, "extract_text_from_html", held)
+        results = []
+        main = threading.Thread(target=lambda: results.extend(
+            fetch_all([record(i) for i in ids], tmp_path, settings(stub_repo))
+        ))
+        main.start()
+        try:
+            deadline = time.monotonic() + 10
+            while len(stub_repo.requests) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # Page 0 is held in the writer and page 1 waits to be handed over:
+            # page 2 is not requested until page 0's write ends.
+            time.sleep(0.3)
+            assert len(stub_repo.requests) == 2
+        finally:
+            released_at = time.monotonic()
+            release.set()
+            main.join(timeout=10)
+        assert not main.is_alive()
+        assert [r.status for r in results] == [FetchStatus.FETCHED_FRESH] * 4
+        assert stub_repo.requests[2][1] >= released_at
+
+    def test_every_page_stored_under_short_switch_interval(self, stub_repo, tmp_path):
+        ids = [f"320{i:02d}R{i:04d}" for i in range(40)]
+        for doc_id in ids:
+            stub_repo.pages[doc_id] = f"<p>{doc_id} &amp; text.</p>"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = fetch_all([record(i) for i in ids], tmp_path, settings(stub_repo))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.status for r in results] == [FetchStatus.FETCHED_FRESH] * len(ids)
+        assert [r.text_path.read_text(encoding="utf-8") for r in results] == [
+            f"{doc_id} & text." for doc_id in ids
+        ]
+        assert all(json.loads((tmp_path / f"{i}.meta").read_text())["id"] == i for i in ids)
+
+    def test_interrupt_after_handover_joins_writer(self, stub_repo, tmp_path, monkeypatch):
+        ids = ["31995L0046", "32016R0679"]
+        for doc_id in ids:
+            stub_repo.pages[doc_id] = GDPR_HTML
+        extract, fetch = fetcher.extract_text_from_html, fetcher.fetch_document
+        monkeypatch.setattr(
+            fetcher, "extract_text_from_html", lambda html: time.sleep(0.3) or extract(html)
+        )
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return fetch(*args, **kwargs)
+
+        monkeypatch.setattr(fetcher, "fetch_document", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            fetch_all([record(i) for i in ids], tmp_path, settings(stub_repo))
+        assert not [t for t in threading.enumerate() if t.name == "lexgrade-cache-writer"]
+        # The page handed over before the interrupt was written whole.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "31995L0046.meta", "31995L0046.txt"
+        ]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_cache_files_follow_umask(self, stub_repo, tmp_path, umask):
+        stub_repo.pages["32016R0679"] = GDPR_HTML
+        old = os.umask(umask)
+        try:
+            results = fetch_all([record("32016R0679")], tmp_path, settings(stub_repo))
+        finally:
+            os.umask(old)
+        assert results[0].status is FetchStatus.FETCHED_FRESH
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {"32016R0679.meta": 0o666 & ~umask, "32016R0679.txt": 0o666 & ~umask}
 
     @pytest.mark.parametrize(
         "base_url",
