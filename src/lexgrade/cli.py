@@ -61,6 +61,8 @@ ANALYZE_COLUMNS = (
 _WIDTH = len(ANALYZE_COLUMNS)
 _HEADER = ",".join(ANALYZE_COLUMNS)
 _COLUMN_SET = frozenset(ANALYZE_COLUMNS)
+#: The numeric cells that follow id, doc_type, year and domain in a row.
+_NUMERIC = _WIDTH - 4
 
 
 #: Per ANALYZE_COLUMNS entry, the types its values may have: None for a
@@ -267,8 +269,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
     return 1 if report.failures else 0
 
 
-def _csv_cells(path: str, text: str) -> tuple[dict, list, list[int]]:
-    """Meta, the cells of each column and each row's line number, from CSV text."""
+def _csv_rows(path: str, text: str) -> tuple[dict, list[str], list[int]]:
+    """Meta, the data rows (each of _WIDTH cells) and each row's line number, from CSV text."""
     lines = text.split("\n")
     if '"' in text:
         number = next(n for n, line in enumerate(lines, 1) if '"' in line)
@@ -307,11 +309,26 @@ def _csv_cells(path: str, text: str) -> tuple[dict, list, list[int]]:
                 raise ResultsFormatError(
                     f"{path} line {number}: expected {_WIDTH} fields, got {len(fields)}"
                 )
-    # Every row holds _WIDTH cells, so one split of the joined rows lays
-    # them out row after row.
-    body = data[1:]
-    cells = ",".join(body).split(",") if body else []
-    return meta, [cells[i::_WIDTH] for i in range(_WIDTH)], line_numbers[1:]
+    return meta, data[1:], line_numbers[1:]
+
+
+def _csv_values(rows: list[str]) -> list[list] | None:
+    """Every column's values from rows of _WIDTH cells, or None when there is
+    no row or a cell is not one value of its column's kinds."""
+    if not rows:
+        return None
+    # id, doc_type, year, domain and the tail of numeric cells; _read_results
+    # says why one parse of the joined tails finds each cell's own value.
+    ids, doc_types, years, domains, tails = zip(*map(str.split, rows, repeat(","), repeat(4)))
+    try:
+        years, numbers = _json_cells(years), _json_cells(tails)
+    except (ValueError, RecursionError):
+        return None
+    if len(years) != len(rows) or len(numbers) != _NUMERIC * len(rows):
+        return None
+    cells = [ids, doc_types, years, domains, *(numbers[i::_NUMERIC] for i in range(_NUMERIC))]
+    values = list(map(_column, cells, _KINDS, repeat(list)))
+    return None if None in values else values
 
 
 def _read_results(path: str) -> tuple[dict, dict[str, list]]:
@@ -319,14 +336,20 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
 
     CSV: `# key: value` lines anywhere are meta, blank lines are skipped,
     and every other line is the header or a row of comma-separated
-    fields, each within csv.field_size_limit(). The file is split on
-    commas in one pass. A file holding a `"` is refused: the manifest
-    admits no id that analyze would quote. JSON: an object with a 'meta'
-    object and a 'rows' list of objects keyed by ANALYZE_COLUMNS.
+    fields, each within csv.field_size_limit(). A file holding a `"` is
+    refused: the manifest admits no id that analyze would quote. JSON: an
+    object with a 'meta' object and a 'rows' list of objects keyed by
+    ANALYZE_COLUMNS.
 
     Numbers are JSON numbers in both formats: one JSON integer per cell of
     an integer column, one JSON integer or float (never a bool) per
-    sum_variable cell. A CSV column is read by one json.loads of its cells.
+    sum_variable cell. Each CSV row is split once, at its first four
+    commas, and one json.loads reads the file's year cells, one its
+    numeric tails, each joined by commas. N tails hold (_NUMERIC - 1) * N
+    commas and the join adds N - 1, so _NUMERIC * N values mean every
+    comma stood between two values: each cell was one JSON value. When a
+    read fails, a count is off or a value is of the wrong kind, each
+    column is read by its own json.loads and the first bad cell is named.
 
     Every row is checked: cell types, 4-digit years, grades within
     2**53, and the columns that analyze derives from others. Errors name
@@ -357,13 +380,19 @@ def _read_results(path: str) -> tuple[dict, dict[str, list]]:
                 raise ResultsFormatError(f"{path} row {number}: wrong columns")
             rows.append([raw[column] for column in ANALYZE_COLUMNS])
         unit, parse, cells, numbers = "row", list, list(zip(*rows)), range(1, len(rows) + 1)
+        values = None
     else:
-        meta, cells, numbers = _csv_cells(path, text)
-        unit, parse = "line", _json_cells
+        meta, rows, numbers = _csv_rows(path, text)
+        unit, parse, values = "line", _json_cells, _csv_values(rows)
+        if values is None:
+            # A bad cell: split every cell out, so the search below can name it.
+            flat = ",".join(rows).split(",") if rows else []
+            cells = [flat[i::_WIDTH] for i in range(_WIDTH)]
 
     if not numbers:
         raise ResultsFormatError(f"{path}: no result rows")
-    values = list(map(_column, cells, _KINDS, repeat(parse)))
+    if values is None:
+        values = list(map(_column, cells, _KINDS, repeat(parse)))
     if None in values:
         # A column fails exactly when one of its cells does. Each failing
         # column is searched alone; the first bad cell in file order wins.

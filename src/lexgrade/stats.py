@@ -9,10 +9,12 @@ correctly rounded int/int division or square root of one: correlations
 lie in [-1, 1] and identical columns give exactly 1.0. Correlations use
 the truncated grades, not the raw formula values. Quantiles are type 7
 (linear interpolation between order statistics), one int/int division
-each. Both conventions are named in report output so published numbers
-are auditable. corpus_statistics reads every figure from one table over
-the five grade columns; per_year_aggregate groups g1+g2+g3 by year in
-one pass.
+each, with the order statistics read from one count of each distinct
+value (a bisect on the running counts), not from a sort. Both
+conventions are named in report output so published numbers are
+auditable. corpus_statistics reads every figure from one table over the
+five grade columns; per_year_aggregate groups g1+g2+g3 by year in one
+pass.
 
 Grades come in as columns, one value per document, as a results file
 read by the CLI holds them; per-document GradeVectors are transposed
@@ -21,8 +23,11 @@ once, e.g. dict(zip(GRADE_FIELDS, zip(*grades)))."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
+from itertools import accumulate
 from operator import add, mul
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConstantInputError, DegenerateVarianceError, StatisticsError
 from .indices import GRADE_FIELDS
@@ -37,6 +42,9 @@ __all__ = [
 INDEX_LABELS = tuple(field.split("_", 1)[1] for field in GRADE_FIELDS)
 
 QUANTILE_CONVENTION = "linear interpolation between order statistics (type 7)"
+
+#: A column's distinct values ascending, and how many values are at most each.
+_Order = tuple[list[int], list[int]]
 
 
 class CorrelationMatrix(NamedTuple):
@@ -91,8 +99,10 @@ def _integers(columns: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
     return exact
 
 
-def _moments(columns: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Each column's sum and S[i][j] = n*sum(x_i*x_j) - sum(x_i)*sum(x_j), as ints.
+def _moments(
+    columns: Sequence[Sequence[int]],
+) -> tuple[Sequence[Sequence[int]], list[int], list[list[int]]]:
+    """The columns as ints, each one's sum and S[i][j] = n*sum(x_i*x_j) - sum(x_i)*sum(x_j).
 
     S[i][j] is n(n-1) times the sample covariance of columns i and j.
     """
@@ -102,7 +112,7 @@ def _moments(columns: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int
     for i, (x, sx) in enumerate(zip(exact, sums)):
         for j in range(i, len(exact)):
             table[i][j] = table[j][i] = n * sum(map(mul, x, exact[j])) - sx * sums[j]
-    return sums, table
+    return exact, sums, table
 
 
 def _sqrt(p: int, q: int) -> float:
@@ -147,7 +157,7 @@ def correlation_matrix(columns: Sequence[Sequence[int]]) -> CorrelationMatrix:
         raise StatisticsError("columns have unequal lengths")
     if n < 2:
         raise StatisticsError("need at least 2 documents")
-    return _correlations(_moments(columns)[1])
+    return _correlations(_moments(columns)[2])
 
 
 def cronbach_alpha(columns: Sequence[Sequence[int]]) -> float:
@@ -164,21 +174,31 @@ def cronbach_alpha(columns: Sequence[Sequence[int]]) -> float:
         raise StatisticsError("need at least 2 rows")
     if any(len(c) != n for c in columns):
         raise StatisticsError("columns have unequal lengths")
-    return _alpha(_moments(columns)[1])
+    return _alpha(_moments(columns)[2])
 
 
-def _quantile(ordered: Sequence[int], quarters: int, divisor: int) -> float:
-    # Type 7 at p = quarters/4 over ordered[k] / divisor: (n - 1) p is
-    # lo + f/4, and ordered[lo] and ordered[lo + 1] weigh 4 - f and f.
-    lo, f = divmod((len(ordered) - 1) * quarters, 4)
-    return (ordered[lo] * (4 - f) + ordered[lo + (f > 0)] * f) / (4 * divisor)
+def _order(values: Iterable[int]) -> _Order:
+    """The _Order of values: one Counter, one sort of its distinct keys."""
+    counts = Counter(values)
+    distinct = sorted(counts)
+    return distinct, list(accumulate(map(counts.__getitem__, distinct)))
 
 
-def _summary(total: int, square: int, ordered: list[int], divisor: int) -> SummaryStats:
-    # From the sorted values, their sum and S_ii. Min and max are type 7 at p = 0 and 1.
-    n = len(ordered)
+def _quantile(order: _Order, quarters: int, divisor: int) -> float:
+    # Type 7 at p = quarters/4 over the k-th smallest value / divisor: (n - 1) p
+    # is lo + f/4, and the values at lo and lo + 1 weigh 4 - f and f. The k-th
+    # smallest (k from 0) is the first distinct value with more than k values at most it.
+    distinct, at_most = order
+    lo, f = divmod((at_most[-1] - 1) * quarters, 4)
+    low, high = (distinct[bisect_right(at_most, k)] for k in (lo, lo + (f > 0)))
+    return (low * (4 - f) + high * f) / (4 * divisor)
+
+
+def _summary(total: int, square: int, order: _Order, divisor: int) -> SummaryStats:
+    # From the values' order, their sum and S_ii. Min and max are type 7 at p = 0 and 1.
+    n = order[1][-1]
     sd = _sqrt(square, n * (n - 1) * divisor**2) if n > 1 else 0.0
-    quantiles = (_quantile(ordered, quarters, divisor) for quarters in (2, 1, 3, 0, 4))
+    quantiles = (_quantile(order, quarters, divisor) for quarters in (2, 1, 3, 0, 4))
     return SummaryStats(n, total / (n * divisor), sd, *quantiles)
 
 
@@ -186,8 +206,8 @@ def describe(values: Sequence[int], divisor: int = 1) -> SummaryStats:
     """Summary of the integer values, each divided by divisor (n >= 1)."""
     if len(values) == 0:
         raise StatisticsError("cannot summarize an empty vector")
-    (total,), ((square,),) = _moments([values])
-    return _summary(total, square, sorted(values), divisor)
+    (exact,), (total,), ((square,),) = _moments([values])
+    return _summary(total, square, _order(exact), divisor)
 
 
 def corpus_statistics(columns: Mapping[str, Sequence[int]]) -> CorpusStatistics:
@@ -203,14 +223,14 @@ def corpus_statistics(columns: Mapping[str, Sequence[int]]) -> CorpusStatistics:
         raise StatisticsError("columns have unequal lengths")
     if n == 0:
         raise StatisticsError("cannot summarize an empty vector")
-    sums, table = _moments(grades)
+    grades, sums, table = _moments(grades)
     block = [row[:3] for row in table[:3]]
     summary = {
-        label: _summary(total, table[i][i], sorted(column), 1)
+        label: _summary(total, table[i][i], _order(column), 1)
         for i, (label, column, total) in enumerate(zip(INDEX_LABELS, grades, sums))
     }
-    ordered = sorted(map(add, map(add, grades[0], grades[1]), grades[2]))
-    summary["sum_variable"] = _summary(sum(sums[:3]), sum(map(sum, block)), ordered, 3)
+    order = _order(map(add, map(add, grades[0], grades[1]), grades[2]))
+    summary["sum_variable"] = _summary(sum(sums[:3]), sum(map(sum, block)), order, 3)
     if n < 2:
         return CorpusStatistics(summary, None, "n < 2", None, "n < 2")
     correlations = correlations_note = alpha = alpha_note = None
@@ -244,6 +264,6 @@ def per_year_aggregate(columns: Mapping[str, Sequence[int]]) -> list[YearAggrega
     for year, total in zip(years, totals):
         buckets.setdefault(year, []).append(total)
     return [
-        YearAggregate(year, len(b), sum(b) / (3 * len(b)), _quantile(sorted(b), 2, 3))
+        YearAggregate(year, len(b), sum(b) / (3 * len(b)), _quantile(_order(b), 2, 3))
         for year, b in sorted(buckets.items())
     ]

@@ -41,13 +41,15 @@ _IDS = st.one_of(
 # though they are not plain digits: JSON whitespace (" 7", "\t7") and "-0"
 # read, "1E3" and Python's "NaN" and "Infinity" read as floats, and "1,2"
 # is written quoted, so its file is refused; the bracket cells fail, the
-# last by recursion depth. The long digit runs read as integers past 2**53
+# "[" run by recursion depth; "[]", "{}" and "null" are one JSON value
+# each, of no number type. The long digit runs read as integers past 2**53
 # (the first just inside it); the last is also past the 4300-digit limit
 # that Python 3.11 and later put on integer parsing.
 _BAD_CELLS = [
     "", " ", "x", "1.5", "nan", "inf", "true", "-", "+3", " 7", "1_0", "٣",
     "1e3", "0x10", "007", "-0", "\t7", "\x0c7", "[1", "7]", "NaN", "Infinity",
     "1E3", "[" * 2000, "1,2", str(2**53), str(-(2**53) - 1), "9" * 401, "9" * 5000,
+    "[]", "{}", "null",
 ]
 # Spellings that int() or float() read and JSON does not.
 _REFUSED = ["+3", "007", "1_0", "٣", "\x0c7", "nan", "inf", "+1.5", ".5"]
@@ -67,6 +69,12 @@ _INT_ONLY_ROW = (
 _WRONG_HARD_ROW = _ROW.replace(",50,10,7,", ",50,11,7,")
 _YEAR_ROW = _ROW.replace(",2016,", ",999,")
 _HUGE_GRADE_ROW = _ROW.replace(",10,11,8.0", "," + "9" * 401 + ",11,8.0")
+# JSON values that span cells: g1 "[1" and g2 "7]" in one row; "[8.0" in
+# sum_variable and "4]" in the next row's sentence_count; "[2016" and
+# "2017]" in two rows' years. Read across the commas, each is one list.
+_SPAN_ROW = _ROW.replace(",7,8,9,", ",[1,7],9,")
+_SPAN_ROWS = _ROW.replace(",8.0", ",[8.0") + "\n" + _ROW.replace(",4,60,", ",4],60,")
+_SPAN_YEARS = _ROW.replace(",2016,", ",[2016,") + "\n" + _ROW.replace(",2016,", ",2017],")
 _EXTRA_LINES = ["", "", "#", "# lexgrade_version: 9", "#k:v:w", "#\t", "   "]
 
 
@@ -175,11 +183,15 @@ class TestReadResultsReference:
         (_HEADER + "\n" + _WRONG_HARD_ROW + "\n" + _YEAR_ROW + "\n", False),
         (_HEADER + "\n" + _WRONG_HARD_ROW + "\n" + _HUGE_GRADE_ROW + "\n", False),
         (_HEADER + "\n" + _ROW + "\n" + _HUGE_GRADE_ROW + "\n", False),
+        (_HEADER + "\n" + _ROW + "\n" + _SPAN_ROW + "\n", False),
+        (_HEADER + "\n" + _SPAN_ROWS + "\n", False),
+        (_HEADER + "\n" + _SPAN_YEARS + "\n" + _ROW + "\n", False),
     ], ids=[
         "plain", "comments-crlf", "quoted-cr", "quoted-newlines", "long-row",
         "non-numeric", "over-limit", "at-limit", "no-header", "no-rows", "nul",
         "int-only-spellings", "integer-sum-variable", "derived-then-year",
-        "derived-then-huge-grade", "huge-grade",
+        "derived-then-huge-grade", "huge-grade", "span-in-row", "span-across-rows",
+        "span-across-years",
     ])
     def test_pinned_cases(self, path, text, reads):
         _write(path, text)

@@ -289,6 +289,22 @@ EDGE_COLUMNS = [
 ]
 
 
+# Order statistics are read from counts of tied values. In the ten-value
+# column, the type-7 positions of q1 (2 and 3), the median (4 and 5) and
+# q3 (6 and 7) each fall on two different runs of ties.
+TIED_RUNS = [8, -4, 6, 1, 8, -4, 1, 6, -4, 8]
+QUANTILE_COLUMNS = {
+    "tied-runs": TIED_RUNS,
+    "one-value": [7] * 5,
+    "one-negative-value": [-3] * 4,
+    "n1": [5],
+    "n1-negative": [-2],
+    "n2": [8, 3],
+    "n2-tied": [-1, -1],
+    "negative": [-9, -1, -5, -5, -9, -20],
+}
+
+
 class TestAgainstReference:
     """Bit equality (==) with the Fraction oracle: alpha, Pearson, summaries, years."""
 
@@ -362,6 +378,14 @@ class TestAgainstReference:
     # A constant Coleman-Liau column; a constant ARI column and FK/SMOG/ARI sums.
     @example([[1, 2, 3], [2, 1, 3], [3, 3, 1], [4, 4, 4], [1, 5, 2]])
     @example([[1, 2, 3], [3, 2, 1], [2, 2, 2], [1, 4, 9], [5, 1, 2]])
+    # Runs of ties in every column and in the sums; one value; n = 1 and 2;
+    # negative grades.
+    @example([TIED_RUNS, [-v for v in TIED_RUNS], TIED_RUNS[::-1],
+              [v % 5 for v in TIED_RUNS], [v // 3 for v in TIED_RUNS]])
+    @example([[7] * 5, [-3] * 5, [7] * 5, [0] * 5, [-3] * 5])
+    @example([[5], [-2], [4], [9], [-7]])
+    @example([[8, 3], [-1, -1], [3, 8], [2, -6], [0, 1]])
+    @example([[-9, -1, -5, -5, -9, -20]] * 5)
     def test_corpus_statistics(self, grades):
         # The sum variable is g1+g2+g3 over 3. Its mean, sd and quantiles
         # equal the oracle's, and its min and max those of the float
@@ -372,6 +396,9 @@ class TestAgainstReference:
             **{label: describe(column) for label, column in zip(INDEX_LABELS, grades)},
             "sum_variable": describe(sums, divisor=3),
         }
+        for label, column in zip(INDEX_LABELS, grades):
+            summary = statistics.summary[label]
+            assert (summary.median, summary.q1, summary.q3) == exact_quantiles(column)
         summary = statistics.summary["sum_variable"]
         thirds = sorted(s / 3 for s in sums)
         assert (summary.mean, summary.standard_deviation) == reference.mean_and_sd(
@@ -410,3 +437,26 @@ class TestAgainstReference:
         with pytest.raises(StatisticsError) as raised:
             corpus_statistics(dict(zip(GRADE_FIELDS, grades)))
         assert str(raised.value) == "statistics need integer values"
+
+
+def reference_quantiles(values, divisor) -> tuple[float, ...]:
+    """The oracle's median, q1, q3, min and max of values over divisor."""
+    exact = [Fraction(v, divisor) for v in values]
+    return tuple(reference.quantile(exact, p) for p in (*QUARTERS, 0, 1))
+
+
+def _quantiles(summary) -> tuple[float, ...]:
+    return summary.median, summary.q1, summary.q3, summary.min, summary.max
+
+
+class TestQuantilesFromCounts:
+    @pytest.mark.parametrize("divisor", [1, 3])
+    @pytest.mark.parametrize("values", QUANTILE_COLUMNS.values(), ids=QUANTILE_COLUMNS.keys())
+    def test_describe(self, values, divisor):
+        summary = describe(values, divisor)
+        assert summary.n == len(values)
+        assert _quantiles(summary) == reference_quantiles(values, divisor)
+
+    def test_tied_runs_hand_values(self):
+        # Sorted: -4 -4 -4 1 1 6 6 8 8 8.
+        assert _quantiles(describe(TIED_RUNS)) == (3.5, -2.75, 7.5, -4.0, 8.0)
