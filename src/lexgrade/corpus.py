@@ -6,6 +6,12 @@ through a pluggable callable so the same pipeline works on a local
 directory or a fetch cache. Documents that fail are reported in a
 failures list, never silently dropped: rows + failures always add up to
 the manifest length.
+
+analyze_document grades a text's kept lines: those _prose_lines leaves
+once Official Journal boilerplate is dropped, joined by newlines.
+clean_text is their display form and holds the same tokens. It changes
+only whitespace, as str.split defines it, and segmentation starts with
+NFC and str.split; a newline composes with nothing, so both are NFC.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 import re
 import unicodedata
 from enum import Enum
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -222,15 +229,13 @@ def load_manifest(path: str | Path) -> list[DocumentRecord]:
     return records
 
 
-# Mastheads and page furniture of Official Journal layouts; matching
-# lines are dropped before segmentation because they distort sentence
-# counts. One alternation of all four would scan long lines ~10x slower.
-_BOILERPLATE = tuple(map(re.compile, (
-    r"Official Journal of the European (Union|Communities)",
-    r"^\s*\d{1,2}\.\d{1,2}\.\d{4}\s+EN\s*$",
-    r"^\s*EN\s*$",
-    r"^\s*[LC]\s?\d+/\d+\s*$",
-)))
+# Mastheads and page furniture of Official Journal layouts; such lines
+# are dropped because they distort sentence counts. Furniture fills its
+# line, so one anchored match of its shapes stops at the first other
+# character; a masthead may sit inside a line, so it stays a search (one
+# search of all four would try every shape at every position).
+_FURNITURE = re.compile(r"\s*(?:\d{1,2}\.\d{1,2}\.\d{4}\s+EN|EN|[LC]\s?\d+/\d+)\s*$").match
+_MASTHEAD = re.compile(r"Official Journal of the European (?:Union|Communities)").search
 
 # C0 controls other than tab and newline, and DEL, each become a space.
 _CONTROL = bytes.maketrans(
@@ -238,41 +243,33 @@ _CONTROL = bytes.maketrans(
 )
 
 
-def clean_text(raw: str) -> str:
-    """Normalize a raw document text.
+def _prose_lines(raw: str) -> list[str]:
+    """The kept lines of a raw text: its lines after normalization, less
+    boilerplate ones.
 
     After NFC normalization, CRLF and lone CR become newlines; then every
     C0 control character other than tab and newline (U+0000-U+0008,
-    U+000B-U+001F) and DEL (U+007F) becomes a space. Boilerplate-matched
-    lines are dropped, whitespace runs collapse to single spaces, and
-    paragraph breaks are kept as blank lines. Idempotent.
-
-    The control map runs on the UTF-8 bytes: a byte below 0x80 never
-    occurs inside a multi-byte sequence, so one byte table is exact, and
-    it keeps non-ASCII text off str.translate's per-character dict
-    lookups. surrogatepass carries lone surrogates through unchanged.
+    U+000B-U+001F) and DEL (U+007F) becomes a space. The control map runs
+    on the UTF-8 bytes: a byte below 0x80 never occurs inside a
+    multi-byte sequence, so one byte table is exact, and it keeps
+    non-ASCII text off str.translate's per-character dict lookups.
+    surrogatepass carries lone surrogates through unchanged.
     """
-    text = unicodedata.normalize("NFC", raw)
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    text = (
-        text.encode("utf-8", "surrogatepass")
-        .translate(_CONTROL)
-        .decode("utf-8", "surrogatepass")
-    )
+    text = unicodedata.normalize("NFC", raw).replace("\r\n", "\n").replace("\r", "\n")
+    text = text.encode("utf-8", "surrogatepass").translate(_CONTROL)
+    text = text.decode("utf-8", "surrogatepass")
+    return [line for line in text.split("\n") if not (_FURNITURE(line) or _MASTHEAD(line))]
 
-    paragraphs: list[str] = []
-    current: list[str] = []
-    for line in text.split("\n"):
-        if any(p.search(line) for p in _BOILERPLATE):
-            continue
-        if line.strip():
-            current.append(" ".join(line.split()))
-        elif current:
-            paragraphs.append(" ".join(current))
-            current = []
-    if current:
-        paragraphs.append(" ".join(current))
-    return "\n\n".join(paragraphs)
+
+def clean_text(raw: str) -> str:
+    """The display form of a raw text's kept lines (module docstring).
+
+    Whitespace runs collapse to single spaces, and blank lines become
+    paragraph breaks, one blank line between paragraphs. Idempotent.
+    """
+    # A paragraph is the words of a run of non-blank lines.
+    runs = groupby(map(str.split, _prose_lines(raw)), bool)
+    return "\n\n".join(" ".join(chain.from_iterable(run)) for nonblank, run in runs if nonblank)
 
 
 def analyze_document(
@@ -280,13 +277,14 @@ def analyze_document(
     text: str,
     mode: str = "windowed",
 ) -> tuple[TextMetrics, GradeVector]:
-    """Clean, count and grade one document.
+    """Count and grade one document from its kept lines.
 
-    Raises DegenerateTextError naming the document when the cleaned text
-    has no measurable prose.
+    The result equals grade_metrics(clean_text(text), mode), with no
+    display text built (module docstring). Raises DegenerateTextError
+    naming the document when the kept lines have no measurable prose.
     """
     try:
-        return grade_metrics(clean_text(text), mode)
+        return grade_metrics("\n".join(_prose_lines(text)), mode)
     except DegenerateTextError as exc:
         raise DegenerateTextError(f"document '{record.id}': {exc}") from exc
 

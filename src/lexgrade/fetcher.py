@@ -111,7 +111,8 @@ class FetchSettings(_FetchFields):
     """Network and politeness configuration, checked whenever one is built.
 
     delay_ms, concurrency and retries must be non-negative; concurrency and
-    retries are capped at MAX_CONCURRENCY and MAX_RETRIES.
+    retries are capped at MAX_CONCURRENCY and MAX_RETRIES. timeout_s must
+    be more than 0 and at most a day, which every platform's sockets take.
     """
 
     __slots__ = ()
@@ -129,14 +130,11 @@ class FetchSettings(_FetchFields):
         for field in ("delay_ms", "concurrency", "retries"):
             if getattr(self, field) < 0:
                 raise LexgradeError(f"{field} must be non-negative, got {getattr(self, field)}")
-        if self.concurrency > MAX_CONCURRENCY:
-            raise LexgradeError(
-                f"concurrency must be at most {MAX_CONCURRENCY}, got {self.concurrency}"
-            )
-        if self.retries > MAX_RETRIES:
-            raise LexgradeError(
-                f"retries must be at most {MAX_RETRIES}, got {self.retries}"
-            )
+        if not 0 < self.timeout_s <= 86400:  # NaN fails too
+            raise LexgradeError(f"timeout_s must be in (0, 86400], got {self.timeout_s}")
+        for field, cap in (("concurrency", MAX_CONCURRENCY), ("retries", MAX_RETRIES)):
+            if getattr(self, field) > cap:
+                raise LexgradeError(f"{field} must be at most {cap}, got {getattr(self, field)}")
         return self
 
     @classmethod

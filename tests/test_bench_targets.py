@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import lexgrade.cli
-from lexgrade import fetcher, stats
+from lexgrade import corpus, fetcher, indices, segmenter, stats
 from lexgrade.indices import GRADE_FIELDS
 
 SPANS = Path(__file__).parent.parent / "bench" / "spans.py"
@@ -53,10 +53,11 @@ STATS_LAYERS = (
 
 
 def _command_calls(
-    monkeypatch, argv: list[str], layer=stats, names=STATS_LAYERS, status=0
+    monkeypatch, argv: list[str], layers=((stats, STATS_LAYERS),), status=0
 ) -> list[tuple[str, tuple]]:
-    """(name, args) of each call of layer's named functions, made through a
-    lexgrade module attribute while lexgrade.cli.main(argv) runs."""
+    """(name, args) of each call of the named functions of each (module,
+    names) layer, made through a lexgrade module attribute while
+    lexgrade.cli.main(argv) runs."""
     calls = []
 
     def counting(fn, name):
@@ -67,14 +68,15 @@ def _command_calls(
         return wrapper
 
     with monkeypatch.context() as patch:
-        for name in names:
-            original = getattr(layer, name)
-            wrapper = counting(original, name)
-            for module_name, module in list(sys.modules.items()):
-                if module_name == "lexgrade" or module_name.startswith("lexgrade."):
-                    for attr, value in list(vars(module).items()):
-                        if value is original:
-                            patch.setattr(module, attr, wrapper)
+        for layer, names in layers:
+            for name in names:
+                original = getattr(layer, name)
+                wrapper = counting(original, name)
+                for module_name, module in list(sys.modules.items()):
+                    if module_name == "lexgrade" or module_name.startswith("lexgrade."):
+                        for attr, value in list(vars(module).items()):
+                            if value is original:
+                                patch.setattr(module, attr, wrapper)
         assert lexgrade.cli.main(argv) == status
     return calls
 
@@ -87,6 +89,31 @@ def test_stats_layers_traced(monkeypatch, tmp_path):
     assert [(name, len(args[0])) for name, args in calls] == [("_moments", 5)]
     calls = _command_calls(monkeypatch, ["report", "--results", str(RESULTS), *out])
     assert [name for name, _ in calls] == ["per_year_aggregate"]
+
+
+ANALYZE_LAYERS = (
+    (corpus, ("analyze_corpus", "analyze_document", "_prose_lines", "clean_text")),
+    (indices, ("grade_metrics", "linsear_write")),
+    (segmenter, ("scan", "_classify", "compute_metrics", "segment_sentences",
+                 "tokenize_words")),
+)
+
+
+def test_analyze_layers_traced(monkeypatch, tmp_path, data_dir):
+    # analyze reads each document's kept lines once and grades them in one
+    # scan; it never builds clean_text's display text. The type table
+    # starts empty, so every document brings new types to classify.
+    monkeypatch.setattr(segmenter, "_TYPES", {})
+    corpus_dir = data_dir / "nonascii"
+    manifest = (corpus_dir / "manifest.csv").read_text(encoding="utf-8")
+    ids = [row["id"] for row in csv.DictReader(manifest.splitlines())]
+    argv = ["analyze", "--manifest", str(corpus_dir / "manifest.csv"),
+            "--texts", str(corpus_dir / "texts"), "--out", str(tmp_path / "out.csv")]
+    calls = _command_calls(monkeypatch, argv, ANALYZE_LAYERS)
+    per_document = ["analyze_document", "_prose_lines", "grade_metrics", "scan",
+                    "_classify", "linsear_write"]
+    assert [name for name, _ in calls] == ["analyze_corpus", *per_document * len(ids)]
+    assert [args[0].id for name, args in calls if name == "analyze_document"] == ids
 
 
 def test_fetch_layers_traced(monkeypatch, tmp_path, stub_repo):
@@ -105,7 +132,7 @@ def test_fetch_layers_traced(monkeypatch, tmp_path, stub_repo):
     argv = ["fetch", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
             "--base-url", stub_repo.base_url, "--delay-ms", "0"]
     names = ("fetch_document", "extract_text_from_html")
-    calls = _command_calls(monkeypatch, argv, fetcher, names, status=1)
+    calls = _command_calls(monkeypatch, argv, [(fetcher, names)], status=1)
     assert sorted(name for name, _ in calls) == [
         "extract_text_from_html", "extract_text_from_html",
         "fetch_document", "fetch_document", "fetch_document",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+import unicodedata
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from lexgrade.corpus import (
     DocType,
     DocumentRecord,
     Domain,
+    _prose_lines,
     analyze_corpus,
     analyze_document,
     clean_text,
@@ -205,6 +207,62 @@ class TestCleanTextReference:
         # test above covers CR and CRLF.
         raw = "".join(chr(c) for c in range(0x110000) if c != 0x0D)
         assert clean_text(raw) == reference.clean_text(raw)
+
+
+# Pieces of the boilerplate shapes, and whitespace that str.split and \s
+# treat alike though only "\n" ends a kept line: NBSP, NEL, LINE
+# SEPARATOR, IDEOGRAPHIC SPACE and FS, a C0 control that becomes a space.
+_SHAPE_PIECES = [
+    "L", "C", "E", "N", "EN", " ", "\t", "1", "12", "119", "2016", ".", "/",
+    "4.5.2016", "12.12.2020", "L 119/1", "C202/47", "Official Journal of the European ",
+    "Union", "Communities", "\xa0", "\x85", "\u2028", "\u3000", "\x1c", "a",
+]
+_shape_lines = st.lists(st.sampled_from(_SHAPE_PIECES), max_size=10).map("".join)
+_long_line = st.lists(
+    st.sampled_from(["Article", "5(1)", "Art.", "data.", "processing", "Regulation",
+                     "(EU)", "2016/679", "élan", "naïve", "'shall'", "EN", "L", "."]),
+    min_size=20, max_size=200,
+).map(" ".join)
+# Long prose lines with boilerplate and blank lines among them.
+_documents = st.lists(
+    st.one_of(_long_line, _shape_lines, st.sampled_from(["", " \t", "\r", "\x85"])),
+    max_size=30,
+).map("\n".join)
+
+
+def _reference_kept_lines(raw: str) -> list[str]:
+    """_prose_lines spelled with corpus_reference's map and four searches."""
+    text = unicodedata.normalize("NFC", raw).replace("\r\n", "\n").replace("\r", "\n")
+    return [
+        line for line in text.translate(reference._CONTROL).split("\n")
+        if not any(p.search(line) for p in reference._BOILERPLATE)
+    ]
+
+
+class TestKeptLines:
+    """analyze_document grades the kept lines, clean_text their display form."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_shape_lines, max_size=6).map("\n".join))
+    def test_filter_matches_four_searches(self, raw):
+        assert _prose_lines(raw) == _reference_kept_lines(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_raw_texts, _documents))
+    def test_grades_equal_clean_text_grades(self, raw):
+        try:
+            expected = grade_metrics(clean_text(raw))
+        except DegenerateTextError:
+            with pytest.raises(DegenerateTextError, match="32016R0679"):
+                analyze_document(record(), raw)
+        else:
+            assert analyze_document(record(), raw) == expected
+
+    def test_data_texts(self, data_dir):
+        for path in sorted(data_dir.rglob("*.txt")):
+            raw = path.read_text(encoding="utf-8")
+            assert _prose_lines(raw) == _reference_kept_lines(raw)
+            assert analyze_document(record(), raw) == grade_metrics(clean_text(raw))
 
 
 class TestAnalyzeDocument:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import stat
@@ -683,6 +684,23 @@ class TestFetchAll:
                 LexgradeError, match=re.escape(f"{field} must be non-negative, got -1")
             ):
                 build(**{field: -1})
+
+    @pytest.mark.parametrize("timeout_s", [-1, 0, math.nan, math.inf, -math.inf, 1e10])
+    def test_timeout_outside_range_rejected(self, timeout_s):
+        # Sockets refuse these (ValueError, OverflowError), or time out at
+        # once (0), so every document would end as a TransportError.
+        for build in BUILDS:
+            assert build(timeout_s=0.5).timeout_s == 0.5
+            assert build(timeout_s=86400).timeout_s == 86400
+            with pytest.raises(
+                LexgradeError, match=re.escape(f"timeout_s must be in (0, 86400], got {timeout_s}")
+            ):
+                build(timeout_s=timeout_s)
+
+    def test_short_timeout_fetches(self, stub_repo, tmp_path):
+        stub_repo.pages["32016R0679"] = "<p>Text.</p>"
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo, timeout_s=0.5))
+        assert result.status is FetchStatus.FETCHED_FRESH
 
     def test_zero_retries_is_one_attempt(self, stub_repo, tmp_path):
         stub_repo.pages["32016R0002"] = 503
