@@ -111,8 +111,9 @@ class FetchSettings(_FetchFields):
     """Network and politeness configuration, checked whenever one is built.
 
     delay_ms, concurrency and retries must be non-negative; concurrency and
-    retries are capped at MAX_CONCURRENCY and MAX_RETRIES. timeout_s must
-    be more than 0 and at most a day, which every platform's sockets take.
+    retries are capped at MAX_CONCURRENCY and MAX_RETRIES, delay_ms at a
+    day. timeout_s must be more than 0 and at most a day, which every
+    platform's sockets take.
     """
 
     __slots__ = ()
@@ -132,7 +133,8 @@ class FetchSettings(_FetchFields):
                 raise LexgradeError(f"{field} must be non-negative, got {getattr(self, field)}")
         if not 0 < self.timeout_s <= 86400:  # NaN fails too
             raise LexgradeError(f"timeout_s must be in (0, 86400], got {self.timeout_s}")
-        for field, cap in (("concurrency", MAX_CONCURRENCY), ("retries", MAX_RETRIES)):
+        caps = ("concurrency", MAX_CONCURRENCY), ("retries", MAX_RETRIES), ("delay_ms", 86_400_000)
+        for field, cap in caps:
             if getattr(self, field) > cap:
                 raise LexgradeError(f"{field} must be at most {cap}, got {getattr(self, field)}")
         return self

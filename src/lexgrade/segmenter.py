@@ -5,10 +5,13 @@ counts, syllable estimates, and per-token character/letter counts. All
 functions are pure and rule-based; no language models, no randomness, so
 the same text always yields the same numbers.
 
-One rule, _ends_sentence, decides from a whitespace-delimited token alone
-whether a sentence ends after it. Legal texts are dense with "Art. 5"
-style citations, so it skips a small abbreviation list; "1.5" never
-splits, as a terminator must end its token. scan reads a text into the
+scan is the one sentence and word counter. One rule, _ends_sentence,
+decides from a whitespace-delimited token alone whether a sentence ends
+after it. Legal texts are dense with "Art. 5" style citations, so it
+skips a small abbreviation list; "1.5" never splits, as a terminator
+must end its token. Every sentence holds a word: a word-less fragment
+("!!!") merges into the sentence next to it, text with no terminator is
+one sentence, and word-less text has none. scan reads a text into the
 counts and one code character per word: easy or hard (three syllables
 or more), ending a sentence or not. A terminator that stands alone as a
 token ("comply . The") ends a document sentence but is not a word, so a
@@ -27,7 +30,6 @@ results never depend on what it holds.
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from collections import Counter
 from itertools import filterfalse, repeat
@@ -35,10 +37,8 @@ from typing import Iterator, NamedTuple
 
 __all__ = [
     "TextMetrics",
-    "segment_sentences",
     "tokenize_words",
     "count_syllables",
-    "compute_metrics",
     "scan",
 ]
 
@@ -46,8 +46,6 @@ __all__ = [
 ABBREVIATIONS = frozenset(
     {"art.", "no.", "e.g.", "i.e.", "cf.", "p.", "mr.", "mrs.", "dr."}
 )
-
-_TOKEN = re.compile(r"\S+")
 
 # Closing quotes/brackets that may follow a sentence terminator.
 _CLOSERS = "\"'’”)]»"
@@ -93,34 +91,6 @@ def _ends_sentence(token: str) -> bool:
     if not body or body[-1] not in ".!?":
         return False
     return body[-1] != "." or body.lstrip(_OPENERS).lower() not in ABBREVIATIONS
-
-
-def segment_sentences(text: str) -> list[str]:
-    """Split text into sentences.
-
-    A sentence ends after each token for which _ends_sentence holds, and
-    at the end of text. Fragments without a single word token are merged
-    into the neighbouring sentence, so every returned sentence contains
-    at least one word. Text without a terminator is one sentence.
-    """
-    text = _normalize(text)
-    tokens = list(_TOKEN.finditer(text))
-    spans: list[list[int]] = []
-    start, has_word = None, False
-    for i, token in enumerate(tokens):
-        if start is None:
-            start = token.start()
-        has_word = has_word or _has_word(token.group())
-        if not (_ends_sentence(token.group()) or i == len(tokens) - 1):
-            continue
-        if has_word:
-            spans.append([start, token.end()])
-        elif spans:
-            spans[-1][1] = token.end()
-        else:
-            continue  # a leading word-less fragment opens the first sentence
-        start, has_word = None, False
-    return [text[s:e] for s, e in spans]
 
 
 def tokenize_words(text: str) -> list[str]:
@@ -255,12 +225,15 @@ def scan(text: str) -> tuple[TextMetrics, str]:
 
     Returns the TextMetrics and one code per word token, in order: "a"
     easy (at most two syllables), "b" easy and ending a sentence, "c"
-    hard, "d" hard and ending a sentence. Sentences are counted as
-    segment_sentences splits them: a word that ends one, a terminator
-    token ("p", not a word) after a word that does not, and an open
-    sentence at the end. Each distinct token is looked up once in the
-    table _TYPES, which _classify fills with the text's new types in one
-    call; the result does not depend on what the table holds.
+    hard, "d" hard and ending a sentence. A sentence ends after each
+    token for which _ends_sentence holds and at the end of the text; a
+    word-less fragment merges into the sentence next to it. So text with
+    no terminator is one sentence, word-less text has none (and all-zero
+    counts), and sentences are: a word that ends one, a terminator token
+    ("p", not a word) after a word that does not, and an open one at the
+    end. Each distinct token is looked up once in the table _TYPES, which
+    _classify fills with the text's new types in one call; the result
+    does not depend on what the table holds.
     """
     global _TYPES
     tokens = _normalize(text).split()
@@ -294,12 +267,3 @@ def scan(text: str) -> tuple[TextMetrics, str]:
         character_count=characters,
         letter_count=letters,
     ), words
-
-
-def compute_metrics(text: str) -> TextMetrics:
-    """Count sentences, words, syllables and characters for one text.
-
-    Degenerate text (no word tokens) yields all-zero metrics; rejecting
-    it is the grade layer's job.
-    """
-    return scan(text)[0]

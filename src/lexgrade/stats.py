@@ -204,6 +204,8 @@ def _summary(total: int, square: int, order: _Order, divisor: int) -> SummarySta
 
 def describe(values: Sequence[int], divisor: int = 1) -> SummaryStats:
     """Summary of the integer values, each divided by divisor (n >= 1)."""
+    if type(divisor) is not int or divisor < 1:
+        raise StatisticsError(f"divisor must be an int >= 1, got {divisor!r}")
     if len(values) == 0:
         raise StatisticsError("cannot summarize an empty vector")
     (exact,), (total,), ((square,),) = _moments([values])

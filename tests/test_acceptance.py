@@ -30,7 +30,7 @@ from lexgrade.indices import (
     linsear_write,
     smog,
 )
-from lexgrade.segmenter import TextMetrics, compute_metrics, count_syllables, scan
+from lexgrade.segmenter import TextMetrics, count_syllables, scan
 from lexgrade.stats import correlation_matrix, cronbach_alpha, describe
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -264,8 +264,8 @@ def test_criterion_5_invariants():
     for _ in range(200):
         a = " ".join(sentence() for _ in range(rng.randint(1, 4)))
         b = " ".join(sentence() for _ in range(rng.randint(1, 4)))
-        combined = compute_metrics(a + " " + b)
-        ma, mb = compute_metrics(a), compute_metrics(b)
+        combined = scan(a + " " + b)[0]
+        ma, mb = scan(a)[0], scan(b)[0]
         for field in (
             "sentence_count", "word_count", "syllable_count",
             "polysyllable_count", "character_count", "letter_count",

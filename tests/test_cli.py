@@ -700,6 +700,22 @@ class TestFetchCommand:
         assert stub_repo.requests == []
         assert not (corpus / "cache").exists()
 
+    def test_delay_above_a_day_is_config_error(self, corpus, stub_repo, capsys):
+        stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
+        manifest = corpus / "fetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n",
+            encoding="utf-8",
+        )
+        assert main([
+            "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
+            "--base-url", stub_repo.base_url, "--delay-ms", "86400001",
+        ]) == 2
+        assert "delay_ms must be at most 86400000, got 86400001" in capsys.readouterr().err
+        assert stub_repo.requests == []
+        assert not (corpus / "cache").exists()
+
     @pytest.mark.parametrize("flag", ["--delay-ms", "--concurrency", "--retries"])
     def test_negative_setting_is_config_error(self, corpus, stub_repo, flag, capsys):
         stub_repo.pages["31995L0046"] = "<p>Doc.</p>"

@@ -27,7 +27,7 @@ from lexgrade.errors import (
     ManifestError,
 )
 from lexgrade.indices import GRADE_FIELDS, grade_metrics
-from lexgrade.segmenter import compute_metrics
+from lexgrade.segmenter import scan
 from lexgrade.stats import corpus_statistics, cronbach_alpha, per_year_aggregate
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -269,7 +269,7 @@ class TestAnalyzeDocument:
     def test_matches_direct_pipeline(self, data_dir):
         text = (data_dir / "fixture_paragraph.txt").read_text()
         metrics, grades = analyze_document(record(), text)
-        assert metrics == compute_metrics(clean_text(text))
+        assert metrics == scan(clean_text(text))[0]
         assert grades == grade_metrics(clean_text(text))[1]
 
     def test_whitespace_only_carries_id(self):

@@ -676,6 +676,15 @@ class TestFetchAll:
             with pytest.raises(LexgradeError, match=f"at most {MAX_RETRIES}, got 6"):
                 build(retries=MAX_RETRIES + 1)
 
+    def test_delay_above_a_day_rejected(self):
+        # 10**12 ms waits about 31,700 years before the second request, and
+        # 10**30 makes time.sleep raise OverflowError for every document.
+        for build in BUILDS:
+            assert build(delay_ms=86_400_000).delay_ms == 86_400_000
+            for delay_ms in (86_400_001, 10**12, 10**30):
+                with pytest.raises(LexgradeError, match=f"at most 86400000, got {delay_ms}"):
+                    build(delay_ms=delay_ms)
+
     @pytest.mark.parametrize("field", ["delay_ms", "concurrency", "retries"])
     def test_negative_setting_rejected(self, field):
         for build in BUILDS:

@@ -13,10 +13,8 @@ from lexgrade import segmenter
 from lexgrade.cli import main
 from lexgrade.segmenter import (
     TextMetrics,
-    compute_metrics,
     count_syllables,
     scan,
-    segment_sentences,
     tokenize_words,
 )
 
@@ -35,44 +33,42 @@ _sentences = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=8).map(
 _texts = st.lists(_sentences, min_size=1, max_size=4).map(" ".join)
 
 
+def _boundaries(text: str) -> tuple[int, str]:
+    """scan's sentence count and word codes; "b" or "d" marks the word
+    that ends a sentence."""
+    m, words = scan(text)
+    return m.sentence_count, words
+
+
 class TestSegmentSentences:
+    """Sentence boundaries as scan counts them."""
+
     def test_single_terminator(self):
-        assert segment_sentences("The cat sat.") == ["The cat sat."]
+        assert _boundaries("The cat sat.") == (1, "aab")
 
     def test_empty(self):
-        assert segment_sentences("") == []
-        assert segment_sentences("   \n\t ") == []
+        assert _boundaries("") == (0, "")
+        assert _boundaries("   \n\t ") == (0, "")
 
     def test_abbreviation_does_not_split(self):
-        assert segment_sentences("See Art. 5. It applies.") == [
-            "See Art. 5.",
-            "It applies.",
-        ]
+        assert _boundaries("See Art. 5. It applies.") == (2, "aabab")
 
     def test_more_abbreviations(self):
-        got = segment_sentences("Dr. Smith spoke. No. 7 applies, e.g. here.")
-        assert got == ["Dr. Smith spoke.", "No. 7 applies, e.g. here."]
+        got = _boundaries("Dr. Smith spoke. No. 7 applies, e.g. here.")
+        assert got == (2, "aabaaaab")
 
     def test_decimal_point_does_not_split(self):
-        assert segment_sentences("The rate is 1.5 percent. Next rule.") == [
-            "The rate is 1.5 percent.",
-            "Next rule.",
-        ]
+        assert _boundaries("The rate is 1.5 percent. Next rule.") == (2, "aaaabab")
 
     def test_no_terminator_is_one_sentence(self):
-        assert segment_sentences("a heading without punctuation") == [
-            "a heading without punctuation"
-        ]
+        assert _boundaries("a heading without punctuation") == (1, "aaac")
 
     def test_closing_quote_after_terminator(self):
-        got = segment_sentences('He said "stop." Then he left.')
-        assert got == ['He said "stop."', "Then he left."]
+        assert _boundaries('He said "stop." Then he left.') == (2, "aabaab")
 
     def test_punctuation_fragment_merges(self):
-        got = segment_sentences("Hello. !!!")
-        assert got == ["Hello. !!!"]
-        got = segment_sentences("!!! Hello.")
-        assert got == ["!!! Hello."]
+        assert _boundaries("Hello. !!!") == (1, "b")
+        assert _boundaries("!!! Hello.") == (1, "b")
 
     @pytest.mark.parametrize(
         "text,sentences,codes",
@@ -89,21 +85,14 @@ class TestSegmentSentences:
     )
     def test_terminator_tokens_that_are_not_words(self, text, sentences, codes):
         m, words = scan(text)
-        assert m.sentence_count == sentences == len(segment_sentences(text))
+        assert m.sentence_count == sentences == len(reference.segment_sentences(text))
         assert m._asdict() == reference.metrics(text)
         assert words == codes == reference.codes(reference.words(text))
 
     def test_every_sentence_has_a_word(self):
-        for text in ("One. Two. --- Three.", "?? Start. End."):
-            for sentence in segment_sentences(text):
-                assert any(ch.isalnum() for ch in sentence)
-
-    @given(_texts)
-    def test_non_whitespace_preserved(self, text):
-        joined = "".join(segment_sentences(text))
-        assert [c for c in joined if not c.isspace()] == [
-            c for c in text if not c.isspace()
-        ]
+        # "---" and "??" hold no word, so each sentence ends at a word.
+        assert _boundaries("One. Two. --- Three.") == (3, "bbb")
+        assert _boundaries("?? Start. End.") == (2, "bb")
 
 
 class TestTokenizeWords:
@@ -149,8 +138,10 @@ class TestCountSyllables:
 
 
 class TestComputeMetrics:
+    """The TextMetrics half of scan."""
+
     def test_cat(self):
-        m = compute_metrics("The cat sat.")
+        m = scan("The cat sat.")[0]
         assert m == TextMetrics(
             sentence_count=1,
             word_count=3,
@@ -161,11 +152,11 @@ class TestComputeMetrics:
         )
 
     def test_empty_is_all_zero(self):
-        m = compute_metrics("")
+        m = scan("")[0]
         assert all(value == 0 for value in m._asdict().values())
 
     def test_metrics_are_immutable(self):
-        m = compute_metrics("The cat sat.")
+        m = scan("The cat sat.")[0]
         # Not even object.__setattr__ gets past a field.
         for assign in (setattr, object.__setattr__):
             with pytest.raises(AttributeError):
@@ -175,7 +166,7 @@ class TestComputeMetrics:
     def test_golden_paragraph(self, data_dir):
         golden = json.loads((data_dir / "fixture_golden.json").read_text())
         text = (data_dir / "fixture_paragraph.txt").read_text()
-        m = compute_metrics(text)
+        m = scan(text)[0]
         expected = golden["metrics"]
         assert m._asdict() == {field: expected[field] for field in m._asdict()}
         # the results columns derived from the metrics
@@ -183,29 +174,29 @@ class TestComputeMetrics:
         assert expected["hard_word_count"] == m.polysyllable_count
 
     def test_unicode_letters_counted(self):
-        m = compute_metrics("Café owners agreed.")
+        m = scan("Café owners agreed.")[0]
         assert m.letter_count == 16
         assert m.character_count == 16
 
     @given(_texts)
     def test_deterministic(self, text):
-        assert compute_metrics(text) == compute_metrics(text)
+        assert scan(text)[0] == scan(text)[0]
 
     @given(_texts, _texts)
     def test_concatenation_additivity(self, a, b):
-        combined = compute_metrics(a + " " + b)
-        ma, mb = compute_metrics(a), compute_metrics(b)
+        combined = scan(a + " " + b)[0]
+        ma, mb = scan(a)[0], scan(b)[0]
         for field in combined._asdict():
             assert getattr(combined, field) == getattr(ma, field) + getattr(mb, field)
 
     @given(_texts)
     def test_case_invariance(self, text):
-        assert compute_metrics(text.upper()) == compute_metrics(text)
+        assert scan(text.upper())[0] == scan(text)[0]
 
     @given(_texts)
     @settings(max_examples=30)
     def test_invariants(self, text):
-        m = compute_metrics(text)
+        m = scan(text)[0]
         assert m.polysyllable_count <= m.word_count
         assert m.syllable_count >= m.word_count
         assert m.letter_count <= m.character_count

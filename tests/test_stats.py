@@ -168,6 +168,13 @@ class TestDescribe:
         with pytest.raises(StatisticsError):
             describe([])
 
+    @pytest.mark.parametrize("divisor", [0, -1, 2.5, 3.0])
+    def test_bad_divisor_raises(self, divisor):
+        # Unchecked, 0 divides by zero, a float has no bit_length in _sqrt,
+        # and -1 flips the order statistics (q1 > q3, min > max).
+        with pytest.raises(StatisticsError, match="divisor"):
+            describe([1, 2, 3, 10], divisor=divisor)
+
     def test_order_statistics_sane(self):
         s = describe([9, 1, 4, 4, 7, 2])
         assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
