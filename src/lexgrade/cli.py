@@ -23,8 +23,8 @@ with no rows, so no earlier run's rows survive in --out.
 
 Exit codes: 0 success, 1 some documents failed, 2 configuration or
 input-format errors. Network settings honour environment overrides
-(LEXGRADE_BASE_URL, LEXGRADE_DELAY_MS, LEXGRADE_CONCURRENCY,
-LEXGRADE_RETRIES, LEXGRADE_USER_AGENT); flags win over environment.
+(LEXGRADE_BASE_URL, LEXGRADE_DELAY_MS, LEXGRADE_RETRIES,
+LEXGRADE_USER_AGENT); flags win over environment.
 """
 
 from __future__ import annotations
@@ -134,7 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--cache", required=True)
     fetch.add_argument("--base-url", default=_env("BASE_URL", None))
     fetch.add_argument("--delay-ms", default=_env("DELAY_MS", "1000"))
-    fetch.add_argument("--concurrency", default=_env("CONCURRENCY", "1"))
+    # Accepted, never read, until the benchmark stops passing it (ROADMAP item 1).
+    fetch.add_argument("--concurrency", choices=("1",), help=argparse.SUPPRESS)
     fetch.add_argument("--retries", default=_env("RETRIES", "3"))
     fetch.set_defaults(func=_run_fetch)
 
@@ -184,7 +185,6 @@ def _run_fetch(args: argparse.Namespace) -> int:
     settings = FetchSettings(
         base_url=DEFAULT_BASE_URL if args.base_url is None else args.base_url,
         delay_ms=_int_setting("--delay-ms", args.delay_ms),
-        concurrency=_int_setting("--concurrency", args.concurrency),
         retries=_int_setting("--retries", args.retries),
         user_agent=_env("USER_AGENT", FetchSettings().user_agent),
     )

@@ -11,24 +11,23 @@ URL the current base URL gives, so a cache filled from a mirror or a stub
 is fetched again rather than served as EUR-Lex. Its .txt and .meta are
 removed before that request, so a failed refetch leaves no text behind.
 
-Politeness defaults: one request at a time, 1000 ms between request
-starts, 3 retries with exponential backoff, and an identifying
-user-agent. At most MAX_CONCURRENCY fetches ever overlap, and at most
-MAX_RETRIES (5) retries follow a failed request, so no backoff sleeps
-longer than 2**(MAX_RETRIES-1) times the delay. A Retry-After of
-delta-seconds on a 429 or 503 lengthens the next wait up to that same
-bound; an HTTP-date or any other value is ignored. The base URL
-can be overridden, which is also how tests point the fetcher at a local
-stub server; it must be http:// or https:// with a host.
+Requests always go one at a time. Politeness defaults: 1000 ms between
+request starts, 3 retries with exponential backoff, and an identifying
+user-agent. At most MAX_RETRIES (5) retries follow a failed request, so
+no backoff sleeps longer than 2**(MAX_RETRIES-1) times the delay. A
+Retry-After of delta-seconds on a 429 or 503 lengthens the next wait up
+to that same bound; an HTTP-date or any other value is ignored. The base
+URL can be overridden, which is also how tests point the fetcher at a
+local stub server; it must be http:// or https:// with a host.
 
-One request at a time, writing a fresh page to the cache (extracting its
-text, then the two atomic writes) overlaps the next request: one writer
-thread, started at the first miss, stores each page while the main thread
-makes the next request, which still starts no sooner than the delay
-allows. At most one page waits for the writer. A fetch interrupted after
-a handover still waits for that write to end, so it leaves no temporary
-file and no .txt without its .meta. Cache files are made as open() makes
-them and follow the umask. A fully cached fetch starts no thread.
+Writing a fresh page to the cache (extracting its text, then the two
+atomic writes) overlaps the next request: one writer thread, started at
+the first miss, stores each page while the main thread makes the next
+request, which still starts no sooner than the delay allows. At most
+one page waits for the writer. A fetch interrupted after a handover
+still waits for that write to end, so it leaves no temporary file and
+no .txt without its .meta. Cache files are made as open() makes them
+and follow the umask. A fully cached fetch starts no thread.
 
 HTTP goes through the standard library's urllib, with no third-party
 client. Redirects are followed. The http_proxy, https_proxy and no_proxy
@@ -73,7 +72,6 @@ from .errors import LexgradeError, MalformedCelexError
 
 __all__ = [
     "DEFAULT_BASE_URL",
-    "MAX_CONCURRENCY",
     "MAX_RETRIES",
     "FetchSettings",
     "FetchStatus",
@@ -85,9 +83,6 @@ __all__ = [
 ]
 
 DEFAULT_BASE_URL = "https://eur-lex.europa.eu"
-
-#: Upper bound on overlapping fetches (and so on fetch threads).
-MAX_CONCURRENCY = 8
 
 #: Upper bound on retries per document; each one doubles the backoff.
 MAX_RETRIES = 5
@@ -101,7 +96,6 @@ _CELEX = re.compile("[0-9]{5}[A-Z]{1,2}[0-9]{1,5}")
 class _FetchFields(NamedTuple):
     base_url: str = DEFAULT_BASE_URL
     delay_ms: int = 1000
-    concurrency: int = 1
     retries: int = 3
     timeout_s: float = 30.0
     user_agent: str = _USER_AGENT
@@ -110,10 +104,11 @@ class _FetchFields(NamedTuple):
 class FetchSettings(_FetchFields):
     """Network and politeness configuration, checked whenever one is built.
 
-    delay_ms, concurrency and retries must be non-negative; concurrency and
-    retries are capped at MAX_CONCURRENCY and MAX_RETRIES, delay_ms at a
-    day. timeout_s must be more than 0 and at most a day, which every
-    platform's sockets take.
+    delay_ms and retries must be non-negative; retries is capped at
+    MAX_RETRIES, delay_ms at a day. timeout_s must be more than 0 and at
+    most a day, which every platform's sockets take. user_agent must be
+    printable ASCII and not blank, so that every request can send it and
+    names its sender.
     """
 
     __slots__ = ()
@@ -128,15 +123,17 @@ class FetchSettings(_FetchFields):
             raise LexgradeError(
                 f"base URL must be http:// or https:// with a host, got '{self.base_url}'"
             )
-        for field in ("delay_ms", "concurrency", "retries"):
-            if getattr(self, field) < 0:
-                raise LexgradeError(f"{field} must be non-negative, got {getattr(self, field)}")
+        for field, cap in ("delay_ms", 86_400_000), ("retries", MAX_RETRIES):
+            value = getattr(self, field)
+            if value < 0:
+                raise LexgradeError(f"{field} must be non-negative, got {value}")
+            if value > cap:
+                raise LexgradeError(f"{field} must be at most {cap}, got {value}")
         if not 0 < self.timeout_s <= 86400:  # NaN fails too
             raise LexgradeError(f"timeout_s must be in (0, 86400], got {self.timeout_s}")
-        caps = ("concurrency", MAX_CONCURRENCY), ("retries", MAX_RETRIES), ("delay_ms", 86_400_000)
-        for field, cap in caps:
-            if getattr(self, field) > cap:
-                raise LexgradeError(f"{field} must be at most {cap}, got {getattr(self, field)}")
+        agent = self.user_agent
+        if not (agent.isascii() and agent.isprintable() and agent.strip()):
+            raise LexgradeError(f"user_agent must be printable ASCII and not blank, got {agent!r}")
         return self
 
     @classmethod
@@ -362,18 +359,16 @@ def extract_text_from_html(html: str) -> str:
 
 
 class _RateLimiter:
-    """Serializes request starts so consecutive starts are >= interval apart."""
+    """Spaces request starts so consecutive starts are >= interval apart."""
 
     def __init__(self, interval_s: float) -> None:
         self._interval = interval_s
-        self._lock = threading.Lock()
         self._next_start = 0.0
 
     def wait(self) -> None:
-        with self._lock:
-            now = time.monotonic()
-            start = max(now, self._next_start)
-            self._next_start = start + self._interval
+        now = time.monotonic()
+        start = max(now, self._next_start)
+        self._next_start = start + self._interval
         delay = start - now
         if delay > 0:
             time.sleep(delay)
@@ -597,13 +592,13 @@ def fetch_all(
     """Fetch every manifest record, order preserved.
 
     Per-document problems are surfaced in the result statuses, never
-    raised. Fetches may overlap up to settings.concurrency; starts are
-    still spaced by the politeness delay.
+    raised. Requests go one at a time, their starts spaced by the
+    politeness delay.
 
-    One request at a time (concurrency 1), each fresh page's text is
-    extracted and written to the cache on one writer thread while the
-    main thread makes the next request. Before handing over a page it
-    waits for the previous page's write, so at most one page waits.
+    Each fresh page's text is extracted and written to the cache on one
+    writer thread while the main thread makes the next request. Before
+    handing over a page it waits for the previous page's write, so at
+    most one page waits.
     A write that fails makes that document's result a TransportError.
     The writer finishes its page before fetch_all returns or raises, so
     an interrupt leaves no temporary file; a second interrupt during that
@@ -611,7 +606,7 @@ def fetch_all(
     """
     limiter = _RateLimiter(settings.delay_ms / 1000.0)
 
-    def one(record: DocumentRecord, store=_store_page) -> FetchResult:
+    def one(record: DocumentRecord, store) -> FetchResult:
         try:
             return fetch_document(
                 record.id, cache_dir, settings, _limiter=limiter, _store=store
@@ -620,12 +615,6 @@ def fetch_all(
             return FetchResult(
                 id=record.id, status=FetchStatus.TRANSPORT_ERROR, detail=str(exc)
             )
-
-    if settings.concurrency > 1 and len(records) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=settings.concurrency) as pool:
-            return list(pool.map(one, records))
 
     writer = _PageWriter()
     try:

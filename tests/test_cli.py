@@ -11,7 +11,7 @@ import pytest
 
 from lexgrade import __version__
 from lexgrade.cli import ANALYZE_COLUMNS, main
-from lexgrade.fetcher import DEFAULT_BASE_URL, MAX_CONCURRENCY, MAX_RETRIES
+from lexgrade.fetcher import DEFAULT_BASE_URL, MAX_RETRIES
 
 sys.path.insert(0, str(Path(__file__).parent))
 import stats_reference  # noqa: E402
@@ -659,9 +659,8 @@ class TestFetchCommand:
             "--delay-ms", "0",
         ]) == 1
 
-    def test_concurrency_above_cap_is_config_error(
-        self, corpus, stub_repo, monkeypatch, capsys
-    ):
+    def test_concurrency_above_cap_is_config_error(self, corpus, stub_repo, capsys):
+        # Requests always go one at a time: --concurrency takes only 1.
         stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
         manifest = corpus / "fetch_manifest.csv"
         manifest.write_text(
@@ -669,19 +668,20 @@ class TestFetchCommand:
             "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n",
             encoding="utf-8",
         )
-
-        def no_fetch(*args, **kwargs):
-            raise AssertionError("fetch_all must not start")
-
-        monkeypatch.setattr("lexgrade.fetcher.fetch_all", no_fetch)
-        assert main([
+        argv = [
             "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
-            "--base-url", stub_repo.base_url, "--delay-ms", "0",
-            "--concurrency", str(MAX_CONCURRENCY + 1),
-        ]) == 2
-        assert "concurrency" in capsys.readouterr().err
+            "--base-url", stub_repo.base_url, "--delay-ms", "0", "--concurrency",
+        ]
+        for value in ("2", "0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, value])
+            assert exc.value.code == 2
+            assert "--concurrency" in capsys.readouterr().err
         assert stub_repo.requests == []
         assert not (corpus / "cache").exists()
+        assert main([*argv, "1"]) == 0
+        assert "1 fresh, 0 cached, 0 failed" in capsys.readouterr().err
+        assert len(stub_repo.requests) == 1
 
     def test_retries_above_cap_is_config_error(self, corpus, stub_repo, capsys):
         stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
@@ -716,7 +716,7 @@ class TestFetchCommand:
         assert stub_repo.requests == []
         assert not (corpus / "cache").exists()
 
-    @pytest.mark.parametrize("flag", ["--delay-ms", "--concurrency", "--retries"])
+    @pytest.mark.parametrize("flag", ["--delay-ms", "--retries"])
     def test_negative_setting_is_config_error(self, corpus, stub_repo, flag, capsys):
         stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
         manifest = corpus / "fetch_manifest.csv"
@@ -731,6 +731,28 @@ class TestFetchCommand:
         ]) == 2
         field = flag[2:].replace("-", "_")
         assert f"{field} must be non-negative, got -1" in capsys.readouterr().err
+        assert stub_repo.requests == []
+        assert not (corpus / "cache").exists()
+
+    @pytest.mark.parametrize("user_agent", ["bad\nua", "caf\u00e9", ""])
+    def test_malformed_user_agent_is_config_error(
+        self, corpus, stub_repo, monkeypatch, capsys, user_agent
+    ):
+        stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
+        manifest = corpus / "fetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setenv("LEXGRADE_USER_AGENT", user_agent)
+        assert main([
+            "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
+            "--base-url", stub_repo.base_url, "--delay-ms", "0",
+        ]) == 2
+        assert f"user_agent must be printable ASCII and not blank, got {user_agent!r}" in (
+            capsys.readouterr().err
+        )
         assert stub_repo.requests == []
         assert not (corpus / "cache").exists()
 
@@ -836,6 +858,41 @@ print(sorted({"ssl", "urllib.request", "http.client", "html", "html.parser",
         assert out.stdout.strip() == "[] 1"
         assert "0 fresh, 1 cached, 0 failed" in out.stderr
         assert len(stub_repo.requests) == requests
+
+    def test_cold_fetch_ignores_concurrency_setting(self, corpus, stub_repo):
+        # LEXGRADE_CONCURRENCY is not read: a cold fetch sends one request at
+        # a time, each held open 50 ms, and loads no thread pool.
+        stub_repo.hold_s = 0.05
+        ids = [f"3202{i}R000{i}" for i in range(4)]
+        for doc_id in ids:
+            stub_repo.pages[doc_id] = f"<p>Doc {doc_id}.</p>"
+        manifest = corpus / "fetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            + "".join(f"{i},Regulation,2020,T,GeneralRules,{i}\n" for i in ids),
+            encoding="utf-8",
+        )
+        argv = [
+            "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
+            "--base-url", stub_repo.base_url, "--delay-ms", "0",
+        ]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), LEXGRADE_CONCURRENCY="4")
+        script = """
+import json
+import sys
+import lexgrade.cli
+assert lexgrade.cli.main(json.loads(sys.argv[1])) == 0
+print("concurrent.futures" in sys.modules)
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
+        assert "4 fresh, 0 cached, 0 failed" in out.stderr
+        assert len(stub_repo.requests) == 4
+        assert stub_repo.max_active == 1
 
     def test_default_base_url(self, corpus, monkeypatch):
         # MANIFEST's ids are no CELEX ids: even unpatched, no request would leave.

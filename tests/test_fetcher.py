@@ -8,6 +8,7 @@ import stat
 import sys
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,6 @@ from lexgrade import fetcher
 from lexgrade.corpus import DocType, Domain, DocumentRecord
 from lexgrade.errors import LexgradeError, MalformedCelexError
 from lexgrade.fetcher import (
-    MAX_CONCURRENCY,
     MAX_RETRIES,
     FetchSettings,
     FetchStatus,
@@ -526,24 +526,38 @@ class TestFetchAll:
         # loopback jitter allowance: starts are spaced by the limiter
         assert all(gap >= delay_ms / 1000 - 0.02 for gap in gaps)
 
-    def _fetch_held(self, stub_repo, tmp_path, concurrency):
-        # Each reply is held open 50 ms, so requests a fetcher runs side by
-        # side overlap at the stub, and one run after another never do.
+    def test_requests_never_overlap(self, stub_repo, tmp_path):
+        # Each reply is held open 50 ms, so requests sent side by side
+        # overlap at the stub, and one sent after another never does.
         stub_repo.hold_s = 0.05
         for i in range(4):
             stub_repo.pages[f"3202{i}R000{i}"] = f"<p>Doc {i}.</p>"
         records = [record(f"3202{i}R000{i}") for i in range(4)]
-        fetch_all(records, tmp_path, settings(stub_repo, concurrency=concurrency))
-
-    def test_concurrency_limit_respected(self, stub_repo, tmp_path):
-        self._fetch_held(stub_repo, tmp_path, concurrency=1)
+        results = fetch_all(records, tmp_path, settings(stub_repo))
+        assert [r.status for r in results] == [FetchStatus.FETCHED_FRESH] * 4
         assert stub_repo.max_active == 1
 
-    def test_concurrent_requests_seen_overlapping(self, stub_repo, tmp_path):
+    def test_concurrent_requests_seen_overlapping(self, stub_repo):
         # The check above could not catch a fetcher that overlaps requests
-        # if the stub failed to see overlap.
-        self._fetch_held(stub_repo, tmp_path, concurrency=4)
-        assert stub_repo.max_active > 1
+        # if the stub failed to see overlap: two held requests sent from
+        # two threads at once are both active there.
+        stub_repo.hold_s = 0.2
+        stub_repo.pages["32020R0001"] = "<p>Doc.</p>"
+        url = celex_url("32020R0001", stub_repo.base_url)
+        together = threading.Barrier(2)
+
+        def get():
+            together.wait(timeout=5)
+            with urllib.request.urlopen(url, timeout=5) as response:
+                assert response.read() == b"<p>Doc.</p>"
+
+        threads = [threading.Thread(target=get) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(stub_repo.requests) == 2
+        assert stub_repo.max_active == 2
 
     def test_unwritable_page_fails_alone(self, stub_repo, tmp_path):
         ids = ["31995L0046", "32016R0679", "32019L0790"]
@@ -664,12 +678,6 @@ class TestFetchAll:
             with pytest.raises(LexgradeError, match=re.escape(f"'{base_url}'")):
                 build(base_url=base_url)
 
-    def test_concurrency_above_cap_rejected(self):
-        for build in BUILDS:
-            assert build(concurrency=MAX_CONCURRENCY).concurrency == MAX_CONCURRENCY
-            with pytest.raises(LexgradeError, match="at most"):
-                build(concurrency=MAX_CONCURRENCY + 1)
-
     def test_retries_above_cap_rejected(self):
         for build in BUILDS:
             assert build(retries=MAX_RETRIES).retries == MAX_RETRIES
@@ -685,7 +693,7 @@ class TestFetchAll:
                 with pytest.raises(LexgradeError, match=f"at most 86400000, got {delay_ms}"):
                     build(delay_ms=delay_ms)
 
-    @pytest.mark.parametrize("field", ["delay_ms", "concurrency", "retries"])
+    @pytest.mark.parametrize("field", ["delay_ms", "retries"])
     def test_negative_setting_rejected(self, field):
         for build in BUILDS:
             assert getattr(build(**{field: 0}), field) == 0
@@ -693,6 +701,21 @@ class TestFetchAll:
                 LexgradeError, match=re.escape(f"{field} must be non-negative, got -1")
             ):
                 build(**{field: -1})
+
+    @pytest.mark.parametrize(
+        "user_agent",
+        ["", "   ", "bad\nua", "bad\r\nX-Injected: 1", "tab\tua", "nul\x00", "del\x7f",
+         "caf\u00e9/1.0", "lexgrade \u20ac"],
+    )
+    def test_malformed_user_agent_rejected(self, user_agent):
+        # http.client refuses a line break in a header value, and a character
+        # outside Latin-1, on every request; a blank one names no sender.
+        message = f"user_agent must be printable ASCII and not blank, got {user_agent!r}"
+        for build in BUILDS:
+            agent = "lexgrade-test/1.0 (stub)"
+            assert build(user_agent=agent).user_agent == agent
+            with pytest.raises(LexgradeError, match=re.escape(message)):
+                build(user_agent=user_agent)
 
     @pytest.mark.parametrize("timeout_s", [-1, 0, math.nan, math.inf, -math.inf, 1e10])
     def test_timeout_outside_range_rejected(self, timeout_s):
