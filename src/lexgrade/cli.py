@@ -24,7 +24,8 @@ with no rows, so no earlier run's rows survive in --out.
 Exit codes: 0 success, 1 some documents failed, 2 configuration or
 input-format errors. Network settings honour environment overrides
 (LEXGRADE_BASE_URL, LEXGRADE_DELAY_MS, LEXGRADE_RETRIES,
-LEXGRADE_USER_AGENT); flags win over environment.
+LEXGRADE_USER_AGENT); flags win over environment. An error in a setting
+names the flag or the variable its value came from.
 """
 
 from __future__ import annotations
@@ -117,10 +118,6 @@ def _column(cells, kinds, parse) -> list | None:
     return None
 
 
-def _env(name: str, fallback: str | None) -> str | None:
-    return os.environ.get(f"LEXGRADE_{name}", fallback)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexgrade",
@@ -132,11 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fetch = sub.add_parser("fetch", help="download manifest documents into a cache")
     fetch.add_argument("--manifest", required=True)
     fetch.add_argument("--cache", required=True)
-    fetch.add_argument("--base-url", default=_env("BASE_URL", None))
-    fetch.add_argument("--delay-ms", default=_env("DELAY_MS", "1000"))
+    fetch.add_argument("--base-url")
+    fetch.add_argument("--delay-ms")
     # Accepted, never read, until the benchmark stops passing it (ROADMAP item 1).
     fetch.add_argument("--concurrency", choices=("1",), help=argparse.SUPPRESS)
-    fetch.add_argument("--retries", default=_env("RETRIES", "3"))
+    fetch.add_argument("--retries")
     fetch.set_defaults(func=_run_fetch)
 
     analyze = sub.add_parser("analyze", help="grade every document in a manifest")
@@ -170,24 +167,29 @@ def _fail(message: str) -> None:
     print(f"lexgrade: error: {message}", file=sys.stderr)
 
 
-def _int_setting(name: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise LexgradeError(f"{name} must be an integer, got '{value}'") from None
-
-
 def _run_fetch(args: argparse.Namespace) -> int:
     # Imported here so analyze, stats and report never load the network stack.
-    from .fetcher import DEFAULT_BASE_URL, FetchSettings, fetch_all
+    from .fetcher import FetchSettings, fetch_all
 
     records = load_manifest(args.manifest)
-    settings = FetchSettings(
-        base_url=DEFAULT_BASE_URL if args.base_url is None else args.base_url,
-        delay_ms=_int_setting("--delay-ms", args.delay_ms),
-        retries=_int_setting("--retries", args.retries),
-        user_agent=_env("USER_AGENT", FetchSettings().user_agent),
-    )
+    settings = FetchSettings()
+    for field in ("base_url", "delay_ms", "retries", "user_agent"):
+        # A flag wins over its variable; an error names the one it came from.
+        source, value = "--" + field.replace("_", "-"), vars(args).get(field)
+        if value is None:
+            source = f"LEXGRADE_{field.upper()}"
+            value = os.environ.get(source)
+        if value is None:
+            continue
+        if field in ("delay_ms", "retries"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise LexgradeError(f"{source} must be an integer, got '{value}'") from None
+        try:
+            settings = settings._replace(**{field: value})
+        except LexgradeError as exc:
+            raise LexgradeError(f"{source}: {exc}") from None
     results = fetch_all(records, args.cache, settings)
     failed = [r for r in results if not r.ok]
     for result in results:

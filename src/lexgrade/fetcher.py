@@ -27,7 +27,8 @@ request, which still starts no sooner than the delay allows. At most
 one page waits for the writer. A fetch interrupted after a handover
 still waits for that write to end, so it leaves no temporary file and
 no .txt without its .meta. Cache files are made as open() makes them
-and follow the umask. A fully cached fetch starts no thread.
+and follow the umask. A fully cached fetch starts no thread and loads
+no queue.
 
 HTTP goes through the standard library's urllib, with no third-party
 client. Redirects are followed. The http_proxy, https_proxy and no_proxy
@@ -54,7 +55,6 @@ every such region, so a page that omits </head> keeps its text.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -416,55 +416,45 @@ def _store_page(meta_path: Path, meta: str, text_path: Path, html: str) -> None:
 class _PageWriter:
     """Stores fetched pages on one thread while the next request runs.
 
-    hand() first waits until the page handed before has been stored, so
-    at most one page ever waits. close() lets the thread store that page
-    and waits for it to end. failures maps the key of each page that
-    could not be stored to the reason.
+    hand() takes _store_page's arguments. It first waits until the page
+    handed before has been stored, so at most one page ever waits.
+    close() lets the thread store that page and waits for it to end.
+    failures maps the text path of each page that could not be stored to
+    the reason.
     """
 
     def __init__(self) -> None:
-        self.failures: dict[int, str] = {}
-        self._page: tuple | None = None  # set from hand() until stored
-        self._closed = False
-        self._changed = threading.Condition()
+        self.failures: dict[Path, str] = {}
         self._thread: threading.Thread | None = None
 
-    def hand(self, key: int, *page) -> None:
+    def hand(self, *page) -> None:
         if self._thread is None:
             # Started before a page is handed over: if it cannot start, no
-            # page waits for it.
+            # page waits for it. A fully cached fetch never loads queue.
+            import queue
+
+            self._pages = queue.Queue()
             thread = threading.Thread(
                 target=self._run, name="lexgrade-cache-writer", daemon=True
             )
             thread.start()
             self._thread = thread
-        with self._changed:
-            self._changed.wait_for(lambda: self._page is None)
-            self._page = (key, page)
-            self._changed.notify()
+        self._pages.join()
+        self._pages.put(page)
 
     def close(self) -> None:
-        with self._changed:
-            self._closed = True
-            self._changed.notify()
         if self._thread is not None:
+            self._pages.put(None)
             self._thread.join()
 
     def _run(self) -> None:
-        while True:
-            with self._changed:
-                self._changed.wait_for(lambda: self._page is not None or self._closed)
-                if self._page is None:
-                    return
-                key, page = self._page
+        while (page := self._pages.get()) is not None:
             try:
                 _store_page(*page)
             except Exception as exc:  # unwritable cache, ...
-                self.failures[key] = str(exc)
+                self.failures[page[2]] = str(exc)
             finally:
-                with self._changed:
-                    self._page = None
-                    self._changed.notify()
+                self._pages.task_done()
 
 
 def fetch_document(
@@ -596,36 +586,33 @@ def fetch_all(
     politeness delay.
 
     Each fresh page's text is extracted and written to the cache on one
-    writer thread while the main thread makes the next request. Before
-    handing over a page it waits for the previous page's write, so at
-    most one page waits.
-    A write that fails makes that document's result a TransportError.
+    writer thread while the main thread makes the next request: the
+    writer's hand() takes _store_page's arguments. Before handing over a
+    page it waits for the previous page's write, so at most one page
+    waits. A write that fails is recorded under its text path, and makes
+    the result with that path a TransportError.
     The writer finishes its page before fetch_all returns or raises, so
     an interrupt leaves no temporary file; a second interrupt during that
     wait may.
     """
     limiter = _RateLimiter(settings.delay_ms / 1000.0)
-
-    def one(record: DocumentRecord, store) -> FetchResult:
-        try:
-            return fetch_document(
-                record.id, cache_dir, settings, _limiter=limiter, _store=store
-            )
-        except Exception as exc:  # malformed ids, unwritable cache, ...
-            return FetchResult(
-                id=record.id, status=FetchStatus.TRANSPORT_ERROR, detail=str(exc)
-            )
-
     writer = _PageWriter()
+    results = []
     try:
-        results = [
-            one(record, functools.partial(writer.hand, i))
-            for i, record in enumerate(records)
-        ]
+        for record in records:
+            try:
+                result = fetch_document(
+                    record.id, cache_dir, settings, _limiter=limiter, _store=writer.hand
+                )
+            except Exception as exc:  # malformed ids, unwritable cache, ...
+                result = FetchResult(
+                    id=record.id, status=FetchStatus.TRANSPORT_ERROR, detail=str(exc)
+                )
+            results.append(result)
     finally:
         writer.close()
-    for i, detail in writer.failures.items():
-        results[i] = FetchResult(
-            id=results[i].id, status=FetchStatus.TRANSPORT_ERROR, detail=detail
-        )
-    return results
+    return [
+        FetchResult(r.id, FetchStatus.TRANSPORT_ERROR, detail=writer.failures[r.text_path])
+        if r.text_path in writer.failures else r
+        for r in results
+    ]

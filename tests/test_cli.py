@@ -756,6 +756,62 @@ class TestFetchCommand:
         assert stub_repo.requests == []
         assert not (corpus / "cache").exists()
 
+    @pytest.mark.parametrize(
+        "source, value, error",
+        [
+            ("LEXGRADE_BASE_URL", "ftp://x",
+             "LEXGRADE_BASE_URL: base URL must be http:// or https:// with a host, got 'ftp://x'"),
+            ("LEXGRADE_DELAY_MS", "-5", "LEXGRADE_DELAY_MS: delay_ms must be non-negative, got -5"),
+            ("LEXGRADE_DELAY_MS", "abc", "LEXGRADE_DELAY_MS must be an integer, got 'abc'"),
+            ("LEXGRADE_RETRIES", "9",
+             f"LEXGRADE_RETRIES: retries must be at most {MAX_RETRIES}, got 9"),
+            ("LEXGRADE_USER_AGENT", "",
+             "LEXGRADE_USER_AGENT: user_agent must be printable ASCII and not blank, got ''"),
+            ("--delay-ms", "-5", "--delay-ms: delay_ms must be non-negative, got -5"),
+            ("--delay-ms", "abc", "--delay-ms must be an integer, got 'abc'"),
+        ],
+        ids=["LEXGRADE_BASE_URL", "LEXGRADE_DELAY_MS", "LEXGRADE_DELAY_MS-abc",
+             "LEXGRADE_RETRIES", "LEXGRADE_USER_AGENT", "--delay-ms", "--delay-ms-abc"],
+    )
+    def test_setting_error_names_its_source(
+        self, corpus, stub_repo, monkeypatch, capsys, source, value, error
+    ):
+        stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
+        manifest = corpus / "fetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n",
+            encoding="utf-8",
+        )
+        argv = ["fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache")]
+        if source.startswith("--"):
+            argv += ["--base-url", stub_repo.base_url, source, value]
+        else:
+            if source != "LEXGRADE_BASE_URL":
+                argv += ["--base-url", stub_repo.base_url]
+            monkeypatch.setenv(source, value)
+        assert main(argv) == 2
+        assert f"lexgrade: error: {error}\n" in capsys.readouterr().err
+        assert stub_repo.requests == []
+        assert not (corpus / "cache").exists()
+
+    def test_flags_win_over_bad_environment(self, corpus, stub_repo, monkeypatch, capsys):
+        stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
+        manifest = corpus / "fetch_manifest.csv"
+        manifest.write_text(
+            "id,doc_type,year,title,domain,source\n"
+            "31995L0046,Directive,1995,DPD,PersonalDataPrivacy,31995L0046\n",
+            encoding="utf-8",
+        )
+        for name, value in (("BASE_URL", "ftp://x"), ("DELAY_MS", "-5"), ("RETRIES", "9")):
+            monkeypatch.setenv(f"LEXGRADE_{name}", value)
+        assert main([
+            "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
+            "--base-url", stub_repo.base_url, "--delay-ms", "0", "--retries", "1",
+        ]) == 0
+        assert "1 fresh, 0 cached, 0 failed" in capsys.readouterr().err
+        assert len(stub_repo.requests) == 1
+
     def test_base_url_without_scheme_is_config_error(self, corpus, monkeypatch, capsys):
         manifest = corpus / "fetch_manifest.csv"
         manifest.write_text(
@@ -849,7 +905,7 @@ import threading
 import lexgrade.cli
 assert lexgrade.cli.main(json.loads(sys.argv[1])) == 0
 print(sorted({"ssl", "urllib.request", "http.client", "html", "html.parser",
-              "concurrent.futures"} & set(sys.modules)), threading.active_count())
+              "concurrent.futures", "queue"} & set(sys.modules)), threading.active_count())
 """
         out = subprocess.run(
             [sys.executable, "-c", script, json.dumps(argv)],

@@ -577,6 +577,26 @@ class TestFetchAll:
         ]
         assert not list(tmp_path.glob(".*"))
 
+    def test_writer_that_cannot_start_fails_each_page(self, stub_repo, tmp_path, monkeypatch):
+        # No page is handed to a writer thread that did not start: each fresh
+        # page fails alone, nothing is written and fetch_all still returns.
+        ids = ["31995L0046", "32016R0679"]
+        for doc_id in ids:
+            stub_repo.pages[doc_id] = f"<p>Text of {doc_id}.</p>"
+        start = threading.Thread.start
+
+        def refuse(thread):
+            if thread.name == "lexgrade-cache-writer":
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        results = fetch_all([record(i) for i in ids], tmp_path, settings(stub_repo))
+        assert [r.status for r in results] == [FetchStatus.TRANSPORT_ERROR] * 2
+        assert all("can't start new thread" in r.detail for r in results)
+        assert list(tmp_path.iterdir()) == []
+        assert not [t for t in threading.enumerate() if t.name == "lexgrade-cache-writer"]
+
     def test_at_most_one_page_waits_for_the_writer(self, stub_repo, tmp_path, monkeypatch):
         ids = [f"3202{i}R000{i}" for i in range(4)]
         for doc_id in ids:
