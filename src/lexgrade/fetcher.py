@@ -8,8 +8,11 @@ so a fully cached manifest can be re-analyzed offline and reproducibly.
 
 A hit also needs the .meta's source URL, when it names one, to be the
 URL the current base URL gives, so a cache filled from a mirror or a stub
-is fetched again rather than served as EUR-Lex. Its .txt and .meta are
-removed before that request, so a failed refetch leaves no text behind.
+is fetched again rather than served as EUR-Lex. Such a .meta must also
+name, as extraction_rule, the text rules this version reads pages by, so
+a text an older lexgrade extracted by other rules is fetched again. Its
+.txt and .meta are removed before that request, so a failed refetch
+leaves no text behind.
 
 Requests always go one at a time. Politeness defaults: 1000 ms between
 request starts, 3 retries with exponential backoff, and an identifying
@@ -39,18 +42,21 @@ arrive uncompressed, and opens its own connection: keep-alive is not
 attempted. urllib.request, http.client, ssl and datetime are imported
 only when a document misses the cache, so a fully cached fetch loads no
 network stack; only a miss stamps retrieved_at. The text scan's html
-module and pattern also wait for a miss, and html.parser for a page the
-scan leaves to it.
+module and pattern also wait for a miss.
 
-A fetched page's text comes from one regular-expression scan over markup
-that every html.parser since Python 3.10 reads alike: tags whose
-attributes are separated by ASCII whitespace, comments without "--"
-inside, a doctype, a <title> holding no markup, and whole script and
-style elements. A page holding any other markup, or a character the scan
-uses as a mark, is read with html.parser instead, which gives the same
-text (see extract_text_from_html). Text inside head, nav, header, footer,
-noscript, template, script and style is dropped; a <body> start tag ends
-every such region, so a page that omits </head> keeps its text.
+A fetched page's text comes from one regular-expression scan, in time
+linear in the page's length. Markup that the standard library's
+HTMLParser reads alike since Python 3.10 is read as it reads it: tags
+whose attributes are separated by ASCII whitespace, comments without
+"--" inside, a doctype, and whole script and style elements. Every
+other construct has a rule, stated in extract_text_from_html: a "<"
+before anything but an ASCII letter, "/", "!" or "?" is text; any other
+tag runs to its first ">" outside quotes; "<?", "<!" and "</" before a
+non-letter are dropped up to the first ">"; a construct left open at the
+end of the page is dropped; and the scan's mark characters read as
+spaces. Text inside head, nav, header, footer, noscript, template,
+script and style is dropped; a <body> start tag ends every such region,
+so a page that omits </head> keeps its text.
 """
 
 from __future__ import annotations
@@ -176,10 +182,10 @@ def celex_url(celex_id: str, base_url: str = DEFAULT_BASE_URL) -> str:
 # cell separates words with a space, not a paragraph break; and a <body> start
 # tag closes every open skip element, since a page may omit </head>. Each
 # effect is a mark. The scan writes the marks into the page's text and applies
-# them all at once; the html.parser fallback applies them one event at a time.
-# html.unescape turns a reference to any mark character into "", and no entity
-# name holds one. The cell mark is whitespace to str.split().
+# them all at once. html.unescape turns a reference to any mark character into
+# "", and no entity name holds one. The cell mark is whitespace to str.split().
 _SEP, _BREAK, _CELL, _SKIP = "\x01", "\x02", "\x1f", "\x03"
+_MARK_CHARS = _SEP + _BREAK + _CELL + _SKIP
 _OPEN, _CLOSE, _BODY = _SKIP + "+", _SKIP + "-", _SKIP + "0"
 _SKIP_TAGS = ("script", "style", "head", "nav", "header", "footer", "noscript", "template")
 _BLOCK_TAGS = (
@@ -193,75 +199,105 @@ _START_MARKS = {**_EMPTY_MARKS, **dict.fromkeys(_CELL_TAGS, _CELL),
 _END_MARKS = {**_EMPTY_MARKS, **dict.fromkeys(_CELL_TAGS, _CELL),
               **dict.fromkeys(_SKIP_TAGS, _CLOSE)}
 
-# Elements whose content some html.parser version reads as raw text. A start
-# tag of one that the scan did not read whole sends the page to html.parser.
-_RAW_TEXT = frozenset({"script", "style", "title", "textarea", "xmp", "iframe",
-                       "noembed", "noframes", "plaintext"})
+#: The rules extract_text_from_html reads a page by, as one number that each
+#: .meta records. Raise it whenever some page's text changes.
+_EXTRACTION_RULE = 1
 
-# The markup the scan reads, all of it parsed alike by every html.parser since
-# Python 3.10; older versions also split tags at \v and at non-ASCII spaces.
-# A bare attribute value must not run into "/>", which html.parser reads as
-# part of the value. Script and style elements are read whole; each attempt
-# stops at the next "<s" or "</s", before any end tag a version could take
-# for theirs ("</ \u017fcript" under Unicode case rules). Group 1 is a tag's
-# name, after "/" for an end tag; group 2 is "/" for a self-closing tag.
+# The scan's grammar: markup that HTMLParser parses alike since Python 3.10,
+# which the first five alternatives read as it does; older versions also
+# split tags at \v and at non-ASCII spaces. A bare attribute value must not
+# run into "/>", which HTMLParser reads as part of the value. Script and
+# style elements are read whole; each attempt stops at the next "<s" or "</s",
+# before any end tag a version could take for theirs ("</ \u017fcript" under
+# Unicode case rules). Group 1 is a tag's name, after "/" for an end tag;
+# group 2 is "/" for a self-closing tag.
+#
+# Past the grammar, a named tag runs to its first ">" outside a quoted value
+# (_ANY), a comment to its first "-->" or "--!>", and "<?", any other "<!" and
+# "</" before a non-letter to the first ">"; each stops at the page's end
+# instead. These come after the grammar, so they read no page it reads, and
+# always match: no attempt fails after reading ahead, and the scan is linear.
+# _ANY repeats runs of characters, not single ones, which keeps the regex
+# engine's repeat stack small; one character at a time took 9-10 times as
+# long on a page 4 times the size (CPython 3.11).
 _WS = r"[\t\n\r\f ]"
 _NAME = r"[a-zA-Z][a-zA-Z0-9]*"
 _ATTRS = (
     rf"(?:{_WS}+[a-zA-Z_:][-a-zA-Z0-9_:.]*"
     r"""(?:=(?:"[^"]*"|'[^']*'|[-a-zA-Z0-9_.:#%]+(?!/)))?)*"""
 )
+_ANY = r"""(?:"[^"]*(?:"|\Z)|'[^']*(?:'|\Z)|[^'">]+)*"""
 _RAW = r"[^<]*(?:<(?!/?\s*[sS\u017f])[^<]*)*"
 _HIDDEN = f"[^{_BREAK}{_CELL}]+"
 _MARKUP = (
     rf"<(?:(?ai:script){_ATTRS}{_WS}*>{_RAW}</(?ai:script)>"
     rf"|(?ai:style){_ATTRS}{_WS}*>{_RAW}</(?ai:style)>"
-    rf"|(?ai:title){_ATTRS}{_WS}*>(?=[^<]*</(?ai:title){_WS}*>)"
-    rf"|(/{_NAME}(?={_WS}*>)|{_NAME}){_ATTRS}{_WS}*(/?)>"
+    rf"|(/?{_NAME})(?:{_ATTRS}{_WS}*(/?)>|{_ANY}(?:>|\Z))"
     r"|!--(?!-?>)[^-]*(?:-[^-]+)*-->"
-    r"|!(?ai:doctype)[^<>]*>)"
+    r"|!(?ai:doctype)[^<>]*>"
+    r"|!--(?:-?>|(?s:.*?)(?:--!?>|\Z))"
+    r"|[!?/][^>]*(?:>|\Z))"
 )
 
 
 def _tag_mark(tag: tuple[str | None, str | None]) -> str:
-    """The mark for one token of the scan, from its two groups.
-
-    A start tag of a raw-text element gets "<", so that the page goes to
-    the fallback as one holding a stray "<".
-    """
+    """The mark for one token of the scan, from its two groups."""
     name, slash = tag
-    if name is None:  # comment, doctype, script or style element, <title>
+    if name is None:  # comment, doctype, script or style element, "<?", ...
         return _SEP
     name = name.lower()
     if name[0] == "/":
         return _END_MARKS.get(name[1:], _SEP)
     if slash:
         return _EMPTY_MARKS.get(name, _SEP)
-    if name in _RAW_TEXT:
-        return "<"
     return _START_MARKS.get(name, _SEP)
 
 
-def _scan_text(page: str) -> str | None:
-    """The text of a page read with one scan, or None if it holds markup
-    the scan does not read or a mark character."""
-    if _SEP in page or _BREAK in page or _CELL in page or _SKIP in page:
-        return None
+def extract_text_from_html(html: str) -> str:
+    """Plain text of an HTML page, paragraphs separated by blank lines.
+
+    Scripts, styles and navigation regions are dropped; character
+    entities are decoded. A <body> start tag ends every skipped region,
+    so a page without </head> keeps its text.
+
+    One regular-expression scan reads the page in time linear in its
+    length. Start, end and self-closing tags whose attributes are
+    separated by ASCII whitespace, comments without "--" inside, a
+    doctype, and script and style elements taken whole up to their end
+    tag are read as the standard library's HTMLParser reads them since
+    Python 3.10. Any other markup is read by these rules:
+
+    - A "<" followed by anything but an ASCII letter, "/", "!" or "?"
+      is text.
+    - A tag outside that grammar runs to its first ">" outside a quoted
+      value. Its leading ASCII letters and digits name it and pick its
+      mark, as a start tag or, after "/", an end tag; an end tag's
+      attributes are ignored.
+    - "</" followed by a non-letter, "<?..." and "<!x..." (CDATA
+      included) are dropped up to the first ">".
+    - A comment holding "--" ends at the first "-->" or "--!>" after
+      its "<!--"; "<!-->" and "<!--->" are empty comments.
+    - Script or style text that is not read whole is a skipped region,
+      like nav: tags inside it are read as tags.
+    - title, textarea, xmp, iframe, noembed, noframes and plaintext are
+      ordinary elements.
+    - An unterminated construct at the end of the page is dropped.
+    - The control characters the scan marks tags with, U+0001, U+0002,
+      U+0003 and U+001F, read as spaces.
+    """
     from html import unescape
 
+    if any(mark in html for mark in _MARK_CHARS):
+        html = re.sub(f"[{_MARK_CHARS}]", " ", html)
     # Text, group 1 and group 2 repeat; each token's groups become its mark.
-    parts = re.compile(_MARKUP).split(page)
+    parts = re.compile(_MARKUP).split(html)
     tags = list(zip(parts[1::3], parts[2::3]))
     marks = {tag: _tag_mark(tag) for tag in set(tags)}
     parts[1::3] = map(marks.__getitem__, tags)
     del parts[2::3]
-    marked = "".join(parts)
-    if "<" in marked:
-        return None
-    # The marks split the text where html.parser's data events end, and no
-    # character reference reaches across one, so one unescape call does
-    # what html.parser does to each piece of text.
-    pieces = unescape(marked).split(_SKIP)
+    # No character reference reaches across a mark, so one unescape call
+    # decodes each piece of text between two tags on its own.
+    pieces = unescape("".join(parts)).split(_SKIP)
     depth = 0
     for i in range(1, len(pieces)):
         piece = pieces[i]
@@ -272,90 +308,6 @@ def _scan_text(page: str) -> str | None:
     text = "".join(pieces).replace(_SEP, "")
     paragraphs = " ".join(text.split()).split(_BREAK)
     return "\n\n".join(filter(None, map(str.strip, paragraphs)))
-
-
-class _TextExtractor:
-    """Paragraphs from html.parser's events; _parse_text mixes it into
-    html.parser.HTMLParser."""
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self._paragraphs: list[str] = []
-        self._chunks: list[str] = []
-        self._skip_depth = 0
-
-    def handle_starttag(self, tag, attrs):
-        self._apply(_START_MARKS.get(tag))
-
-    def handle_endtag(self, tag):
-        self._apply(_END_MARKS.get(tag))
-
-    def handle_startendtag(self, tag, attrs):
-        self._apply(_EMPTY_MARKS.get(tag))
-
-    def _apply(self, mark: str | None) -> None:
-        if mark == _OPEN:
-            self._skip_depth += 1
-        elif mark == _CLOSE:
-            self._skip_depth = max(0, self._skip_depth - 1)
-        elif mark == _BODY:
-            self._skip_depth = 0
-        elif mark == _BREAK:
-            self._flush()
-        elif mark == _CELL:
-            self._chunks.append(" ")
-
-    def handle_data(self, data):
-        if self._skip_depth:
-            return
-        if data.strip():
-            self._chunks.append(data)
-        elif data and self._chunks:
-            # inter-tag whitespace still separates words
-            self._chunks.append(" ")
-
-    def _flush(self) -> None:
-        if self._chunks:
-            paragraph = " ".join("".join(self._chunks).split())
-            if paragraph:
-                self._paragraphs.append(paragraph)
-            self._chunks = []
-
-    def text(self) -> str:
-        self._flush()
-        return "\n\n".join(self._paragraphs)
-
-
-def _parse_text(html: str) -> str:
-    """The text of a page read with html.parser: the fallback of
-    extract_text_from_html and the reference its scan must equal."""
-    from html.parser import HTMLParser
-
-    parser = type("_Parser", (_TextExtractor, HTMLParser), {})()
-    parser.feed(html)
-    parser.close()
-    return parser.text()
-
-
-def extract_text_from_html(html: str) -> str:
-    """Plain text of an HTML page, paragraphs separated by blank lines.
-
-    Scripts, styles and navigation regions are dropped; character
-    entities are decoded; malformed markup is handled leniently. A <body>
-    start tag ends every skipped region, so a page without </head> keeps
-    its text.
-
-    One regular-expression scan reads start, end and self-closing tags
-    whose attributes are separated by ASCII whitespace, comments without
-    "--" inside, a doctype, a <title> holding no markup, and script and
-    style elements, each taken whole up to its end tag. A page holding
-    any other markup (a stray "<", "<?", "<!x>", "</>", an end tag with
-    attributes, an unterminated construct, script or style text holding
-    "<s" or "</s") or one of the control characters the scan marks tags
-    with is read by html.parser instead. Both readings give the same text.
-    """
-    text = _scan_text(html)
-    return _parse_text(html) if text is None else text
 
 
 class _RateLimiter:
@@ -468,9 +420,10 @@ def fetch_document(
 
     A malformed CELEX id raises MalformedCelexError before the cache is
     read. A cache hit (both <id>.txt and <id>.meta present, and no string
-    source_url in the .meta other than this base URL's) returns FromCache
-    with zero network activity. A cache entry from another source URL is
-    deleted, text first. A miss performs one polite retrieval,
+    source_url in the .meta, or this base URL's with this version's
+    extraction_rule) returns FromCache with zero network activity. A cache
+    entry from another source URL or extraction rule is deleted, text
+    first. A miss performs one polite retrieval,
     extracts the text, and writes <id>.meta and then <id>.txt, each
     atomically, so an interrupted write never leaves a hit without its
     source. A page is decoded by the charset in its Content-Type, as UTF-8
@@ -493,14 +446,15 @@ def fetch_document(
         if not isinstance(meta, dict):
             meta = {}
         source_url = meta.get("source_url")
-        if not isinstance(source_url, str) or source_url == url:
+        rule = meta.get("extraction_rule")
+        if not isinstance(source_url, str) or (source_url, rule) == (url, _EXTRACTION_RULE):
             return FetchResult(
                 id=celex_id,
                 status=FetchStatus.FROM_CACHE,
                 text_path=text_path,
                 retrieved_at=meta.get("retrieved_at"),
             )
-        # Another source's text must not outlive a failed refetch.
+        # Another source's or rule's text must not outlive a failed refetch.
         text_path.unlink()
         meta_path.unlink()
 
@@ -558,6 +512,7 @@ def fetch_document(
             "source_url": url,
             "rendition": "HTML, English, non-consolidated",
             "retrieved_at": retrieved_at,
+            "extraction_rule": _EXTRACTION_RULE,
         }
         _store(meta_path, json.dumps(meta, indent=2) + "\n", text_path, html)
         return FetchResult(

@@ -1,12 +1,15 @@
-"""Pieces of HTML pages for checking the text scan against html.parser.
+"""Pieces of HTML pages for checking the text scan.
 
-SCANNED pieces are markup and text the scan reads: a page made only of
-them, uncut, never needs the html.parser fallback. OTHER pieces are
-constructs it leaves to the fallback, since html.parser versions differ on
-them or the scan does not model them. tests/test_fetcher.py draws pages
-from both with Hypothesis. Run as a script, this module compares the scan
-with html.parser on random pages using the standard library alone, for
-interpreters that have no pytest:
+SCANNED pieces are markup and text of the scan's grammar: a page made
+only of them, uncut, must read as html.parser reads it. OTHER pieces are
+constructs the scan reads by its stated rules (see
+lexgrade.fetcher.extract_text_from_html), on which html.parser versions
+differ or which html.parser reads otherwise. tests/test_fetcher.py draws
+pages from both with Hypothesis. Run as a script, this module checks the
+scan on random pages using the standard library alone, for interpreters
+that have no pytest: each whole page of SCANNED pieces must give
+html.parser's text (tests/html_reference.py), and any other page, mixed
+or cut, must give text holding none of the scan's mark characters.
 
     PYTHONPATH=src python tests/html_pieces.py [pages] [seed]
 """
@@ -61,6 +64,9 @@ OTHER = (
     "\x01", "\x02", "\x03", "\x1f",
 )
 
+#: The control characters the scan marks tags with; no text holds one.
+MARKS = "\x01\x02\x03\x1f"
+
 
 def page(rng: random.Random, pieces=SCANNED + OTHER, cut: bool = True) -> str:
     """Up to 30 random pieces, cut at a random point half the time when cut is true."""
@@ -71,26 +77,29 @@ def page(rng: random.Random, pieces=SCANNED + OTHER, cut: bool = True) -> str:
 
 
 def main(argv: list[str]) -> int:
-    from lexgrade.fetcher import _parse_text, _scan_text
+    from html_reference import parse_text
+    from lexgrade.fetcher import extract_text_from_html
 
     count = int(argv[0]) if argv else 20000
     rng = random.Random(argv[1] if len(argv) > 1 else 0)
-    scanned = differ = 0
+    in_grammar = differ = marked = 0
     for i in range(count):
-        # Every other page is whole and made of scanned pieces alone, so the
-        # scan must read it; any other page it may leave to the fallback.
+        # Every other page is whole and made of scanned pieces alone, so it
+        # must read as html.parser reads it; any other page only has to read.
         whole = i % 2 == 1
         html = page(rng, SCANNED, cut=False) if whole else page(rng)
-        text = _scan_text(html)
-        if text is None and not whole:
-            continue
-        scanned += 1
-        if text != _parse_text(html):
-            differ += 1
-            print(f"differs: {html!r}", file=sys.stderr)
-    print(f"Python {sys.version.split()[0]}: {count} pages, {scanned} scanned, "
-          f"{differ} differ from html.parser")
-    return 1 if differ else 0
+        text = extract_text_from_html(html)
+        if any(mark in text for mark in MARKS):
+            marked += 1
+            print(f"holds a mark: {html!r}", file=sys.stderr)
+        if whole:
+            in_grammar += 1
+            if text != parse_text(html):
+                differ += 1
+                print(f"differs: {html!r}", file=sys.stderr)
+    print(f"Python {sys.version.split()[0]}: {count} pages, {in_grammar} in grammar, "
+          f"{differ} differ from html.parser, {marked} hold a mark character")
+    return 1 if differ or marked else 0
 
 
 if __name__ == "__main__":

@@ -883,7 +883,9 @@ print(sorted(network & set(sys.modules)))
         # A fetch whose every document is a cache hit makes no request,
         # imports nothing that only a request or the text of a page needs,
         # and starts no thread (the cache writer starts at the first miss).
-        stub_repo.pages["31995L0046"] = "<p>Doc.</p>"
+        # The cold fetch that fills the cache reads a page holding a stray
+        # "<" with the text scan alone: it loads html but not html.parser.
+        stub_repo.pages["31995L0046"] = "<p>Doc a < b.</p>"
         manifest = corpus / "fetch_manifest.csv"
         manifest.write_text(
             "id,doc_type,year,title,domain,source\n"
@@ -894,8 +896,6 @@ print(sorted(network & set(sys.modules)))
             "fetch", "--manifest", str(manifest), "--cache", str(corpus / "cache"),
             "--base-url", stub_repo.base_url, "--delay-ms", "0",
         ]
-        assert main(argv) == 0
-        requests = len(stub_repo.requests)
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         script = """
@@ -907,10 +907,20 @@ assert lexgrade.cli.main(json.loads(sys.argv[1])) == 0
 print(sorted({"ssl", "urllib.request", "http.client", "html", "html.parser",
               "concurrent.futures", "queue"} & set(sys.modules)), threading.active_count())
 """
-        out = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(argv)],
-            env=env, capture_output=True, text=True, timeout=60, check=True,
-        )
+
+        def run() -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-c", script, json.dumps(argv)],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+
+        cold = run()
+        assert "1 fresh, 0 cached, 0 failed" in cold.stderr
+        assert "'html'" in cold.stdout
+        assert "html.parser" not in cold.stdout
+        assert (corpus / "cache" / "31995L0046.txt").read_text(encoding="utf-8") == "Doc a < b."
+        requests = len(stub_repo.requests)
+        out = run()
         assert out.stdout.strip() == "[] 1"
         assert "0 fresh, 1 cached, 0 failed" in out.stderr
         assert len(stub_repo.requests) == requests

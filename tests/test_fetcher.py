@@ -33,6 +33,7 @@ from lexgrade.fetcher import (
 
 sys.path.insert(0, str(Path(__file__).parent))
 import html_pieces  # noqa: E402
+from html_reference import parse_text  # noqa: E402
 
 GDPR_HTML = """<html><body>
 <p>Regulation text begins.</p>
@@ -136,22 +137,6 @@ BENCH_LAYOUT_PAGE = """<!DOCTYPE html>
 </body></html>
 """
 
-#: html.parser's reading, kept before any test counts calls to it.
-parse_text = fetcher._parse_text
-
-
-@pytest.fixture
-def fallbacks(monkeypatch) -> list[str]:
-    """The pages extract_text_from_html hands to html.parser."""
-    calls: list[str] = []
-
-    def counted(html: str) -> str:
-        calls.append(html)
-        return parse_text(html)
-
-    monkeypatch.setattr(fetcher, "_parse_text", counted)
-    return calls
-
 
 @st.composite
 def pages(draw, pieces, cut=True):
@@ -161,51 +146,59 @@ def pages(draw, pieces, cut=True):
     return html
 
 
+#: Pages outside the scan's grammar, each with its text under the scan's
+#: stated rules. html.parser reads some of them otherwise, and its reading of
+#: others changes between Python versions.
+UNREAD_MARKUP = {
+    "<p>a < b</p>": "a < b",  # "<" before a space is text
+    "<?xml version='1.0'?><p>x</p>": "x",  # "<?" dropped to ">"
+    "<!x><p>x</p>": "x",  # "<!" dropped to ">"
+    "<p>x</>y</p>": "xy",  # "</" before a non-letter dropped to ">"
+    "<p>x</p class=y>z": "x\n\nz",  # an end tag's attributes are ignored
+    "<p>x</ p>y": "xy",
+    "<nav\x0bclass=x>y</nav>z": "z",  # a tag past the grammar keeps its name
+    "<p\x00>x</p>": "x",
+    "<nav\xa0class=x>y</nav>z": "z",
+    "<nav class=x/>y</nav>z": "z",  # ... and is a start tag
+    "<!-- a -- b --><p>x</p>": "x",  # a comment ends at "-->" ...
+    "<!-- a --!><p>x</p>-->": "x\n\n-->",  # ... or "--!>"
+    "<!--><p>x</p>-->": "x\n\n-->",  # "<!-->" is an empty comment
+    "<p>x</p><!-- y": "x",  # an unterminated construct is dropped
+    "<p>x</p><p class=": "x",
+    "<script>var a;": "",  # script text not read whole is skipped ...
+    "<script>a</script x><p>b</p>": "b",
+    "<script>a</scriptx>b</script><p>c</p>": "c",  # ... like nav's
+    "<style>a</ style>b</style><p>c</p>": "c",
+    "<textarea><p>x</p></textarea>": "x",  # raw-text elements are ordinary
+    "<title>a<b>c</title><p>x</p>": "ac\n\nx",
+    "<![CDATA[x]]><p>y</p>": "y",
+    "<p>a\x01b</p>": "a b",  # a mark character is a space
+    "<p>a\x02b</p>": "a b",
+    "a<nav>\x1f</nav>b": "ab",
+    "a\x03+<nav>b": "a +",
+}
+
+#: html_pieces.MARKS, the characters no text holds.
+MARKS = re.compile(f"[{html_pieces.MARKS}]")
+
+
 class TestScanMatchesParser:
     @hypothesis_settings(max_examples=400, deadline=None)
     @given(pages(html_pieces.SCANNED + html_pieces.OTHER))
-    def test_equals_html_parser(self, html):
-        assert extract_text_from_html(html) == parse_text(html)
+    def test_any_page_reads_to_text(self, html):
+        text = extract_text_from_html(html)
+        assert isinstance(text, str)
+        assert not MARKS.search(text)
 
     @hypothesis_settings(max_examples=300, deadline=None)
     @given(pages(html_pieces.SCANNED, cut=False))
     def test_scanned_pieces_need_no_fallback(self, html):
-        assert fetcher._scan_text(html) == parse_text(html)
-
-    @pytest.mark.parametrize(
-        "html",
-        [
-            "<p>a < b</p>",
-            "<?xml version='1.0'?><p>x</p>",
-            "<!x><p>x</p>",
-            "<p>x</>y</p>",
-            "<p>x</p class=y>z",
-            "<p>x</ p>y",
-            "<nav\x0bclass=x>y</nav>z",
-            "<p\x00>x</p>",
-            "<nav\xa0class=x>y</nav>z",
-            "<nav class=x/>y</nav>z",
-            "<!-- a -- b --><p>x</p>",
-            "<!-- a --!><p>x</p>-->",
-            "<!--><p>x</p>-->",
-            "<p>x</p><!-- y",
-            "<p>x</p><p class=",
-            "<script>var a;",
-            "<script>a</script x><p>b</p>",
-            "<script>a</scriptx>b</script><p>c</p>",
-            "<style>a</ style>b</style><p>c</p>",
-            "<textarea><p>x</p></textarea>",
-            "<title>a<b>c</title><p>x</p>",
-            "<![CDATA[x]]><p>y</p>",
-            "<p>a\x01b</p>",
-            "<p>a\x02b</p>",
-            "a<nav>\x1f</nav>b",
-            "a\x03+<nav>b",
-        ],
-    )
-    def test_unread_markup_takes_fallback(self, fallbacks, html):
         assert extract_text_from_html(html) == parse_text(html)
-        assert fallbacks == [html]
+
+    @pytest.mark.parametrize("html", list(UNREAD_MARKUP))
+    def test_unread_markup_takes_fallback(self, html):
+        # Pages once left to an html.parser fallback, now each read by a rule.
+        assert extract_text_from_html(html) == UNREAD_MARKUP[html]
 
     @pytest.mark.parametrize(
         "html, text",
@@ -221,11 +214,10 @@ class TestScanMatchesParser:
             ("<p>a<script>b</script>c</p>", "ac"),
         ],
     )
-    def test_scanned_marks(self, fallbacks, html, text):
+    def test_scanned_marks(self, html, text):
         assert extract_text_from_html(html) == text == parse_text(html)
-        assert fallbacks == []
 
-    def test_golden_and_bench_layout_need_no_fallback(self, data_dir, fallbacks):
+    def test_golden_and_bench_layout_need_no_fallback(self, data_dir):
         golden = (data_dir / "directive_page.html").read_text()
         assert extract_text_from_html(golden) == parse_text(golden)
         assert extract_text_from_html(BENCH_LAYOUT_PAGE) == (
@@ -233,17 +225,125 @@ class TestScanMatchesParser:
             "\n\n(a)\n\nna\u00efve \u20ac"
         )
         assert extract_text_from_html(BENCH_LAYOUT_PAGE) == parse_text(BENCH_LAYOUT_PAGE)
-        assert fallbacks == []
 
-    @pytest.mark.parametrize("tail, fallback", [("", False), ("<p>a < b</p>", True)])
-    def test_body_closes_unclosed_head(self, fallbacks, tail, fallback):
+    @pytest.mark.parametrize("tail, stray", [("", False), ("<p>a < b</p>", True)])
+    def test_body_closes_unclosed_head(self, tail, stray):
         html = (
             "<html><head><title>T</title><body><p>Article 1 applies.</p>"
             f"{tail}</body></html>"
         )
         text = extract_text_from_html(html)
         assert text == "Article 1 applies." + ("\n\na < b" if tail else "")
-        assert fallbacks == ([html] if fallback else [])
+        # a stray "<" is text, as html.parser reads it
+        assert ("<" in text) == stray
+        assert text == parse_text(html)
+
+
+class TestScanRules:
+    @pytest.mark.parametrize(
+        "html, text",
+        [
+            ("a <1> b", "a <1> b"),
+            ("a <é> b", "a <é> b"),
+            ("a <", "a <"),
+            ("a &lt;p&gt; b", "a <p> b"),
+        ],
+    )
+    def test_lt_before_other_than_letter_slash_bang_query_is_text(self, html, text):
+        assert extract_text_from_html(html) == text
+
+    @pytest.mark.parametrize(
+        "html, text",
+        [
+            ('a<p\x0btitle="x>y">c', "a\n\nc"),  # ">" inside quotes
+            ("a<p b=c'x>y'>d", "a\n\nd"),
+            ("a<p a=b<p>c", "a\n\nc"),  # runs past "<" to the first ">"
+            ("a<td\x0b>b", "a b"),  # named by its leading letters and digits
+            ("a<h2-x>b", "a\n\nb"),
+            ("a<nav-x>b</nav>c", "ac"),
+            ("a<nav\x0b/>b</nav>c", "ac"),  # a start tag, never self-closing
+            ("<nav>a</nav\x0bx=1>b", "b"),  # an end tag's attributes ignored
+            ("<nav>a</nav x=1>b", "b"),
+            ('a<p title="x', "a"),  # unterminated, to the end of the page
+            ("a<p a=b", "a"),
+        ],
+    )
+    def test_tag_past_the_grammar(self, html, text):
+        assert extract_text_from_html(html) == text
+
+    @pytest.mark.parametrize(
+        "html, text",
+        [
+            ("a</1>b", "ab"),
+            ("a<?php echo 1; ?>b", "ab"),
+            ("a<!ELEMENT p>b", "ab"),
+            ("a<![CDATA[x<p>y]]>b", "ay]]>b"),  # dropped up to the first ">"
+            ("a<!doctype html<p>>b", "a>b"),
+            ("a<?x", "a"),
+        ],
+    )
+    def test_bogus_markup_dropped_to_first_gt(self, html, text):
+        assert extract_text_from_html(html) == text
+
+    @pytest.mark.parametrize(
+        "html, text",
+        [
+            ("a<!-- x -- y -->b", "ab"),
+            ("a<!-- x --->b", "ab"),
+            ("a<!-- x -- >y-->b", "ab"),
+            ("a<!--->b", "ab"),
+            ("a<!---x-->b", "ab"),
+            ("a<!-- x <p> y", "a"),
+        ],
+    )
+    def test_comment_holding_dashes(self, html, text):
+        assert extract_text_from_html(html) == text
+
+    @pytest.mark.parametrize(
+        "html, text",
+        [
+            ("a<script>b<p>c<s>x</script>d", "a\n\nd"),  # tags inside are read
+            ("a<style>b</style x>c", "ac"),
+            ("<p>a<script>b</scriptx>c</script>d</p>", "ad"),
+            ("a<script>b", "a"),
+            ("<head><script>x</head><body>a", "a"),
+        ],
+    )
+    def test_script_not_read_whole_is_skipped(self, html, text):
+        assert extract_text_from_html(html) == text
+
+    @pytest.mark.parametrize(
+        "tag", ["title", "textarea", "xmp", "iframe", "noembed", "noframes", "plaintext"]
+    )
+    def test_raw_text_elements_are_ordinary(self, tag):
+        html = f"a<{tag}>b<p>c</{tag}>d<p>e"
+        assert extract_text_from_html(html) == "ab\n\ncd\n\ne"
+
+    @pytest.mark.parametrize("mark", list(html_pieces.MARKS))
+    def test_mark_characters_read_as_spaces(self, mark):
+        assert extract_text_from_html(f"<p>a{mark}b</p>c") == "a b\n\nc"
+        assert extract_text_from_html(f"a<nav>{mark}b</nav>c") == "ac"
+
+    @pytest.mark.parametrize(
+        "unit", ['<a b="', "<p a=b", "</p x=", "<!--", "<!-- a -- ", "<?x", "<script>"]
+    )
+    def test_linear_time(self, unit):
+        def best_of_3(page: str) -> float:
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                extract_text_from_html(page)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = best_of_3(unit * 16_000), best_of_3(unit * 64_000)
+        assert large < 8 * small, (small, large)
+
+    def test_quoted_attribute_page_is_fast(self):
+        # html.parser took seconds on this page under some Python versions.
+        start = time.perf_counter()
+        extract_text_from_html('<a b="' * 8_000)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestFetchDocument:
@@ -417,6 +517,45 @@ class TestFetchDocument:
         assert result.status is FetchStatus.FROM_CACHE
         assert stub_repo.requests == []
 
+    def test_meta_records_extraction_rule(self, stub_repo, tmp_path):
+        stub_repo.pages["32016R0679"] = GDPR_HTML
+        fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        meta = json.loads((tmp_path / "32016R0679.meta").read_text())
+        assert meta["extraction_rule"] == fetcher._EXTRACTION_RULE
+
+    @pytest.mark.parametrize("rule", [None, 0, fetcher._EXTRACTION_RULE + 1, "1"])
+    def test_cache_from_other_extraction_rule_is_refetched(self, stub_repo, tmp_path, rule):
+        # A text an older lexgrade extracted from this very URL, by rules
+        # that may read the page otherwise.
+        stub_repo.pages["32016R0679"] = GDPR_HTML
+        meta = {"source_url": celex_url("32016R0679", stub_repo.base_url)}
+        if rule is not None:
+            meta["extraction_rule"] = rule
+        (tmp_path / "32016R0679.txt").write_text("old text", encoding="utf-8")
+        (tmp_path / "32016R0679.meta").write_text(json.dumps(meta), encoding="utf-8")
+
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert result.status is FetchStatus.FETCHED_FRESH
+        assert result.text_path.read_text(encoding="utf-8") == extract_text_from_html(
+            GDPR_HTML
+        )
+        again = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert again.status is FetchStatus.FROM_CACHE
+        assert len(stub_repo.requests) == 1
+
+    def test_cache_from_this_extraction_rule_is_hit(self, stub_repo, tmp_path):
+        meta = {
+            "source_url": celex_url("32016R0679", stub_repo.base_url),
+            "extraction_rule": fetcher._EXTRACTION_RULE,
+        }
+        (tmp_path / "32016R0679.txt").write_text("cached text", encoding="utf-8")
+        (tmp_path / "32016R0679.meta").write_text(json.dumps(meta), encoding="utf-8")
+
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert result.status is FetchStatus.FROM_CACHE
+        assert result.text_path.read_text(encoding="utf-8") == "cached text"
+        assert stub_repo.requests == []
+
     def test_cache_from_other_base_url_is_refetched(
         self, stub_repo, mirror_repo, tmp_path
     ):
@@ -441,6 +580,18 @@ class TestFetchDocument:
             assert again.status is FetchStatus.FROM_CACHE
         assert len(stub_repo.requests) == 1
         assert len(mirror_repo.requests) == 1
+
+    def test_failed_refetch_from_other_extraction_rule_leaves_no_cache(
+        self, stub_repo, tmp_path
+    ):
+        stub_repo.pages["32016R0679"] = 404
+        meta = {"source_url": celex_url("32016R0679", stub_repo.base_url)}
+        (tmp_path / "32016R0679.txt").write_text("old text", encoding="utf-8")
+        (tmp_path / "32016R0679.meta").write_text(json.dumps(meta), encoding="utf-8")
+
+        result = fetch_document("32016R0679", tmp_path, settings(stub_repo))
+        assert result.status is FetchStatus.NOT_FOUND
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("answer", [404, 503])
     def test_failed_refetch_from_other_base_url_leaves_no_cache(
