@@ -103,7 +103,8 @@ class CorpusReport(NamedTuple):
     and stats.per_year_aggregate. Both take columns, not rows: transpose
     the rows' GradeVectors once, dict(zip(GRADE_FIELDS, zip(*grades)))
     (see the stats module docstring); per_year_aggregate also needs a
-    "year" column.
+    "year" column. results.read_results gives every column of a results
+    file that analyze wrote from such rows.
     """
 
     rows: list[ReportRow]

@@ -120,8 +120,9 @@ def _windows(words: str) -> list[str]:
     if len(words) <= 100:
         return [words]
     chunks = [words[i : i + 100] for i in range(0, len(words), 100)]
-    # A short trailing window (< 50 words) merges into the previous one.
-    if len(chunks) > 1 and len(chunks[-1]) < 50:
+    # A short trailing window (< 50 words) merges into the previous one;
+    # past 100 words there are always two chunks.
+    if len(chunks[-1]) < 50:
         tail = chunks.pop()
         chunks[-1] = chunks[-1] + tail
     return chunks

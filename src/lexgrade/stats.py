@@ -16,9 +16,9 @@ auditable. corpus_statistics reads every figure from one table over the
 five grade columns; per_year_aggregate groups g1+g2+g3 by year in one
 pass.
 
-Grades come in as columns, one value per document, as a results file
-read by the CLI holds them; per-document GradeVectors are transposed
-once, e.g. dict(zip(GRADE_FIELDS, zip(*grades)))."""
+Grades come in as columns, one value per document, as
+results.read_results returns them; per-document GradeVectors are
+transposed once, e.g. dict(zip(GRADE_FIELDS, zip(*grades)))."""
 
 from __future__ import annotations
 

@@ -1,13 +1,13 @@
 """Test oracle: reading a CSV results file with csv.reader alone.
 
-A second spelling of lexgrade.cli._read_results for CSV files. It walks
+A second spelling of lexgrade.results.read_results for CSV files. It walks
 the file line by line, hands every data line to one csv.reader and keeps
 a list per row. Each numeric cell is read by its own json.loads and must
 give one number of its column's type: an int, or an int or float in
 sum_variable, never a bool. Every row is then checked in order for its
 year, its grades within 2**53 and the columns that analyze derives from
 others. Tests compare the two on generated files that hold no `"`, which
-_read_results refuses and csv.reader would unquote. csv.reader before
+read_results refuses and csv.reader would unquote. csv.reader before
 Python 3.11 refuses a NUL, so the comparison needs 3.11 or later.
 Nothing in the package imports this module.
 """
@@ -18,7 +18,7 @@ import csv
 import json
 from pathlib import Path
 
-from lexgrade.cli import ANALYZE_COLUMNS
+from lexgrade.results import ANALYZE_COLUMNS
 from lexgrade.errors import ResultsFormatError
 from lexgrade.indices import GRADE_FIELDS
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from lexgrade import __version__
-from lexgrade.cli import ANALYZE_COLUMNS, main
+from lexgrade.cli import main
 from lexgrade.fetcher import DEFAULT_BASE_URL, MAX_RETRIES
+from lexgrade.results import ANALYZE_COLUMNS
 
 sys.path.insert(0, str(Path(__file__).parent))
 import stats_reference  # noqa: E402

@@ -15,7 +15,7 @@ MODULES = sorted(
 
 
 def test_every_module_found():
-    assert {"lexgrade.cli", "lexgrade.segmenter", "lexgrade.stats"} <= set(MODULES)
+    assert {"lexgrade.cli", "lexgrade.results", "lexgrade.segmenter", "lexgrade.stats"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)

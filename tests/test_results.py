@@ -1,4 +1,4 @@
-"""Reading results files: cli._read_results against the csv.reader oracle.
+"""lexgrade.results.read_results against the csv.reader oracle.
 
 The oracle reads quoted fields as csv.reader does, so it is compared on
 quote-free files only. A file holding a `"` must be refused, naming the
@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexgrade.cli import ANALYZE_COLUMNS, _read_results, _write_table
 from lexgrade.corpus import MANIFEST_FIELDS, load_manifest
 from lexgrade.errors import ManifestError, ResultsFormatError
+from lexgrade.results import ANALYZE_COLUMNS, read_results, table_text
 
 sys.path.insert(0, str(Path(__file__).parent))
 import results_reference as reference  # noqa: E402
@@ -164,7 +164,7 @@ class TestReadResultsReference:
     @given(text=_results_text())
     def test_matches_reference(self, path, text):
         _write(path, text)
-        assert _outcome(_read_results, str(path)) == _expected(path)
+        assert _outcome(read_results, str(path)) == _expected(path)
 
     @pytest.mark.parametrize("text, reads", [
         (_HEADER + "\n" + _ROW + "\n", True),
@@ -195,7 +195,7 @@ class TestReadResultsReference:
     ])
     def test_pinned_cases(self, path, text, reads):
         _write(path, text)
-        outcome = _outcome(_read_results, str(path))
+        outcome = _outcome(read_results, str(path))
         assert outcome == _expected(path)
         assert isinstance(outcome, tuple) == reads
 
@@ -210,7 +210,7 @@ class TestReadResultsReference:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows([_ROW.split(","), row, _ROW.split(",")])
         _write(path, _HEADER + "\n" + buffer.getvalue())
-        assert _outcome(_read_results, str(path)) == _expected(path)
+        assert _outcome(read_results, str(path)) == _expected(path)
 
     @pytest.mark.parametrize("column", ["g1_flesch_kincaid", "sum_variable"])
     @pytest.mark.parametrize("cell", _REFUSED)
@@ -218,10 +218,10 @@ class TestReadResultsReference:
         row = _ROW.split(",")
         row[ANALYZE_COLUMNS.index(column)] = cell
         _write(path, "\n".join([_HEADER, _ROW, ",".join(row), _ROW]) + "\n")
-        assert _outcome(_read_results, str(path)) == (
+        assert _outcome(read_results, str(path)) == (
             f"{path} line 3: column '{column}' has non-numeric value {cell!r}"
         )
-        assert _outcome(reference.read_results, str(path)) == _outcome(_read_results, str(path))
+        assert _outcome(reference.read_results, str(path)) == _outcome(read_results, str(path))
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
@@ -238,20 +238,70 @@ def test_first_bad_cell_in_file_order(tmp_path, suffix, bad, named):
         rows[row - 1][ANALYZE_COLUMNS.index(column)] = "x"
     path = tmp_path / f"results{suffix}"
     if suffix == ".json":
-        text_columns = ("id", "doc_type", "domain")
-        records = [
-            {c: v if c in text_columns or v == "x" else json.loads(v)
-             for c, v in zip(ANALYZE_COLUMNS, row)}
-            for row in rows
-        ]
-        path.write_text(json.dumps({"meta": {}, "rows": records}), encoding="utf-8")
+        _write_json(path, rows)
         where = f"row {named[0]}"
     else:
         path.write_text("\n".join([_HEADER, *map(",".join, rows)]) + "\n", encoding="utf-8")
         where = f"line {named[0] + 1}"
-    assert _outcome(_read_results, str(path)) == (
+    assert _outcome(read_results, str(path)) == (
         f"{path} {where}: column '{named[1]}' has non-numeric value 'x'"
     )
+
+
+def _write_json(path: Path, rows) -> None:
+    """A JSON results file of rows of _ROW's cells: text columns and "x"
+    cells as they are, the other cells as the JSON numbers they spell."""
+    records = [
+        {c: v if c in ("id", "doc_type", "domain") or v == "x" else json.loads(v)
+         for c, v in zip(ANALYZE_COLUMNS, row)}
+        for row in rows
+    ]
+    path.write_text(json.dumps({"meta": {}, "rows": records}), encoding="utf-8")
+
+
+@pytest.mark.parametrize("column", ["id", "doc_type", "domain"])
+@pytest.mark.parametrize("value, shown", [
+    (None, "None"), (7, "7"), ([1], "[1]"), ({"x": [1]}, "{'x': [1]}"),
+], ids=["null", "number", "list", "object"])
+def test_json_text_cell_must_be_a_string(tmp_path, column, value, shown):
+    # A CSV cell is always text; a JSON text cell must be a JSON string.
+    rows = [_ROW.split(",") for _ in range(3)]
+    rows[1][ANALYZE_COLUMNS.index(column)] = value
+    path = tmp_path / "results.json"
+    _write_json(path, rows)
+    assert _outcome(read_results, str(path)) == (
+        f"{path} row 2: column '{column}' has value {shown}, expected a string"
+    )
+
+
+@pytest.mark.parametrize("bad, named", [
+    # Text and numeric cells share one file order: an earlier row wins.
+    ([(2, "domain", None), (3, "year", "x")], "column 'domain' has value None, expected a string"),
+    ([(2, "g5_linsear", "x"), (3, "id", 7)], "column 'g5_linsear' has non-numeric value 'x'"),
+    # Two bad cells in one row: the leftmost is named, text or numeric.
+    ([(2, "domain", [1]), (2, "year", "x")], "column 'year' has non-numeric value 'x'"),
+    ([(2, "id", {}), (2, "year", "x")], "column 'id' has value {}, expected a string"),
+], ids=["text-then-number", "number-then-text", "leftmost-number", "leftmost-text"])
+def test_json_text_and_number_cells_in_file_order(tmp_path, bad, named):
+    # Only a JSON file holds a text cell that is not a string, so these
+    # cases cannot ride in test_first_bad_cell_in_file_order's CSV half.
+    rows = [_ROW.split(",") for _ in range(3)]
+    for row, column, value in bad:
+        rows[row - 1][ANALYZE_COLUMNS.index(column)] = value
+    path = tmp_path / "results.json"
+    _write_json(path, rows)
+    assert _outcome(read_results, str(path)) == f"{path} row 2: {named}"
+
+
+def test_csv_and_json_goldens_read_alike():
+    # The two analyze goldens hold one run: equal meta, equal values, and
+    # equal types per cell (str text, int counts, float sum_variable).
+    data = Path(__file__).parent / "data" / "nonascii"
+    (meta, columns), read_json = (read_results(str(data / f"results.{s}")) for s in ("csv", "json"))
+    assert (meta, columns) == read_json
+    types = {c: list(map(type, v)) for c, v in columns.items()}
+    assert types == {c: list(map(type, v)) for c, v in read_json[1].items()}
+    assert {t for c in ("id", "doc_type", "domain") for t in types[c]} == {str}
 
 
 # Any text, and text over the characters a CSV writer or reader treats
@@ -278,10 +328,13 @@ def test_manifest_ids_round_trip(tmp_path_factory, doc_id):
             (record,) = load_manifest(manifest)
         except ManifestError:
             continue
-        row = (record.id, *_ROW.split(",")[1:])
-        out = base / "results.csv"
-        _write_table(str(out), "csv", {"linsear_mode": "windowed"}, ANALYZE_COLUMNS, [row])
-        text = out.read_text(encoding="utf-8")
-        assert '"' not in text
-        assert not text.split("\n")[-2].startswith("#")
-        assert _read_results(str(out))[1]["id"] == [record.id]
+        # _ROW's values, typed as analyze writes them, under this id.
+        row = (record.id, "Regulation", 2016, "GeneralRules",
+               *map(json.loads, _ROW.split(",")[4:]))
+        for out in (base / "results.csv", base / "results.json"):
+            text = table_text(out.suffix[1:], {"linsear_mode": "windowed"}, ANALYZE_COLUMNS, [row])
+            _write(out, text)
+            if out.suffix == ".csv":
+                assert '"' not in text
+                assert not text.split("\n")[-2].startswith("#")
+            assert read_results(str(out))[1]["id"] == [record.id]
