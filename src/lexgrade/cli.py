@@ -20,11 +20,11 @@ special files are written through. A crash loses no more than truncation
 would. When analyze can grade no document, it still writes the header
 with no rows, so no earlier run's rows survive in --out.
 
-Exit codes: 0 success, 1 some documents failed, 2 configuration or
-input-format errors. Network settings honour environment overrides
-(LEXGRADE_BASE_URL, LEXGRADE_DELAY_MS, LEXGRADE_RETRIES,
-LEXGRADE_USER_AGENT); flags win over environment. An error in a setting
-names the flag or the variable its value came from.
+Exit codes: 0 success, 1 some documents failed or analyze graded none,
+2 configuration or input-format errors. Network settings honour
+environment overrides (LEXGRADE_BASE_URL, LEXGRADE_DELAY_MS,
+LEXGRADE_RETRIES, LEXGRADE_USER_AGENT); flags win over environment. An
+error in a setting names the flag or the variable its value came from.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import analyze_corpus, directory_resolver, load_manifest
-from .errors import CorpusAnalysisError, LexgradeError, ManifestError
+from .errors import LexgradeError, ManifestError
 from .indices import LINSEAR_MODES
 from .results import ANALYZE_COLUMNS, analyze_row, read_results, table_text
 from .stats import QUANTILE_CONVENTION, YearAggregate, corpus_statistics, per_year_aggregate
@@ -87,10 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_run_report)
 
     return parser
-
-
-def _fail(message: str) -> None:
-    print(f"lexgrade: error: {message}", file=sys.stderr)
 
 
 def _run_fetch(args: argparse.Namespace) -> int:
@@ -149,17 +145,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         raise ManifestError(f"texts directory '{texts_dir}' does not exist")
 
     meta = {"lexgrade_version": __version__, "linsear_mode": args.linsear_mode}
-    try:
-        report = analyze_corpus(
-            records, directory_resolver(texts_dir), mode=args.linsear_mode
-        )
-    except CorpusAnalysisError as exc:
-        # A header with no rows, so stats and report refuse this run's output
-        # instead of reading an earlier run's.
-        _write_out(args.out, table_text(args.format, meta, ANALYZE_COLUMNS, []))
-        _fail(str(exc))
-        return 1
-
+    report = analyze_corpus(records, directory_resolver(texts_dir), mode=args.linsear_mode)
     rows = [analyze_row(r) for r in report.rows]
     _write_out(args.out, table_text(args.format, meta, ANALYZE_COLUMNS, rows))
 
@@ -169,7 +155,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         f"analyzed {len(report.rows)} of {len(records)} documents",
         file=sys.stderr,
     )
-    return 1 if report.failures else 0
+    return 0 if report.rows and not report.failures else 1
 
 
 def _write_stats(path: str, fmt: str, payload: dict) -> None:
@@ -229,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (LexgradeError, OSError) as exc:
-        _fail(str(exc))
+        print(f"lexgrade: error: {exc}", file=sys.stderr)
         return 2
 
 

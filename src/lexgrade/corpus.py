@@ -26,7 +26,7 @@ from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import CorpusAnalysisError, DegenerateTextError, ManifestError
+from .errors import DegenerateTextError, ManifestError
 from .indices import GradeVector, grade_metrics
 from .segmenter import TextMetrics
 
@@ -166,7 +166,8 @@ def _parse_record(raw: dict, where: str, seen_ids: set[str]) -> DocumentRecord:
 
 
 def load_manifest(path: str | Path) -> list[DocumentRecord]:
-    """Load and validate a manifest file (.csv or .json, UTF-8).
+    """Load and validate a manifest file (.csv or .json, UTF-8, with or
+    without a byte-order mark, as Excel's "CSV UTF-8" writes one).
 
     CSV needs exactly the header id,doc_type,year,title,domain,source and
     no NUL; JSON is a list of objects with the same keys. Errors, csv
@@ -183,7 +184,7 @@ def load_manifest(path: str | Path) -> list[DocumentRecord]:
     if suffix not in (".csv", ".json"):
         raise ManifestError(f"{path}: unsupported manifest format '{suffix}'")
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     records: list[DocumentRecord] = []
@@ -273,21 +274,14 @@ def clean_text(raw: str) -> str:
     return "\n\n".join(" ".join(chain.from_iterable(run)) for nonblank, run in runs if nonblank)
 
 
-def analyze_document(
-    record: DocumentRecord,
-    text: str,
-    mode: str = "windowed",
-) -> tuple[TextMetrics, GradeVector]:
+def analyze_document(text: str, mode: str = "windowed") -> tuple[TextMetrics, GradeVector]:
     """Count and grade one document from its kept lines.
 
     The result equals grade_metrics(clean_text(text), mode), with no
     display text built (module docstring). Raises DegenerateTextError
-    naming the document when the kept lines have no measurable prose.
+    when the kept lines have no measurable prose.
     """
-    try:
-        return grade_metrics("\n".join(_prose_lines(text)), mode)
-    except DegenerateTextError as exc:
-        raise DegenerateTextError(f"document '{record.id}': {exc}") from exc
+    return grade_metrics("\n".join(_prose_lines(text)), mode)
 
 
 def directory_resolver(texts_dir: str | Path) -> Callable[[DocumentRecord], str]:
@@ -308,24 +302,16 @@ def analyze_corpus(
     """Analyze every manifest record into graded rows and failures.
 
     Row order follows the manifest. Documents whose text cannot be
-    resolved or graded land in the failures list; the run is fatal only
-    when no document succeeds.
+    resolved or graded land in the failures list, in manifest order.
     """
     rows: list[ReportRow] = []
     failures: list[Failure] = []
     for record in records:
         try:
             text = resolver(record)
-            metrics, grades = analyze_document(record, text, mode)
+            metrics, grades = analyze_document(text, mode)
         except (DegenerateTextError, OSError, LookupError, UnicodeError) as exc:
             failures.append(Failure(id=record.id, reason=str(exc)))
-            continue
-        rows.append(ReportRow(record=record, metrics=metrics, grades=grades))
-
-    if not rows:
-        raise CorpusAnalysisError(
-            "no document could be analyzed; "
-            + "; ".join(f"{f.id}: {f.reason}" for f in failures)
-        )
-
+        else:
+            rows.append(ReportRow(record=record, metrics=metrics, grades=grades))
     return CorpusReport(rows=rows, failures=failures)

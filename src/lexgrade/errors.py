@@ -25,10 +25,6 @@ class ManifestError(LexgradeError):
     """A corpus manifest failed validation."""
 
 
-class CorpusAnalysisError(LexgradeError):
-    """No document in the corpus could be analyzed."""
-
-
 class MalformedCelexError(LexgradeError):
     """An identifier does not have the CELEX shape."""
 

@@ -182,8 +182,9 @@ def read_results(path: str) -> tuple[dict, dict[str, list]]:
     and every other line is the header or a row of comma-separated
     fields, each within csv.field_size_limit(). A file holding a `"` is
     refused: the manifest admits no id that analyze would quote. JSON: an
-    object with a 'meta' object and a 'rows' list of objects keyed by
-    ANALYZE_COLUMNS, whose id, doc_type and domain are strings.
+    object with a 'meta' object of one-line strings and a 'rows' list of
+    objects keyed by ANALYZE_COLUMNS, whose id, doc_type and domain are
+    strings.
 
     Numbers are JSON numbers in both formats: one JSON integer per cell of
     an integer column, one JSON integer or float (never a bool) per
@@ -216,6 +217,10 @@ def read_results(path: str) -> tuple[dict, dict[str, list]]:
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise ResultsFormatError(f"{path}: 'meta' must be an object")
+        for key, value in meta.items():
+            # Only what a CSV `# key: value` line can hold.
+            if not isinstance(value, str) or "\r" in value or "\n" in value:
+                raise ResultsFormatError(f"{path}: meta {key!r} must be a one-line string")
         if not isinstance(payload["rows"], list):
             raise ResultsFormatError(f"{path}: 'rows' must be a list")
         rows = []

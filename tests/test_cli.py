@@ -12,7 +12,7 @@ import pytest
 from lexgrade import __version__
 from lexgrade.cli import main
 from lexgrade.fetcher import DEFAULT_BASE_URL, MAX_RETRIES
-from lexgrade.results import ANALYZE_COLUMNS
+from lexgrade.results import ANALYZE_COLUMNS, table_text
 
 sys.path.insert(0, str(Path(__file__).parent))
 import stats_reference  # noqa: E402
@@ -89,6 +89,32 @@ class TestAnalyze:
         assert code == 1
         assert "doc2" in capsys.readouterr().err
         assert len(read_csv_rows(out)) == 2
+
+    def test_boilerplate_only_text_fails_once(self, corpus, capsys):
+        # The reason names the document once, in its FAIL line.
+        (corpus / "texts" / "doc2.txt").write_text(
+            "Official Journal of the European Union\nL 119/1\nEN\n", encoding="utf-8"
+        )
+        argv = ["analyze", "--manifest", str(corpus / "manifest.csv"),
+                "--texts", str(corpus / "texts"), "--out", str(corpus / "results.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL doc2: text has no measurable prose: sentence count is zero",
+            "analyzed 2 of 3 documents",
+        ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_header_only_manifest_exits_one(self, corpus, capsys, fmt):
+        # Nothing graded is a failed run, and --out holds the header alone.
+        (corpus / "manifest.csv").write_text(MANIFEST.split("\n")[0] + "\n", encoding="utf-8")
+        out = corpus / f"results.{fmt}"
+        assert main([
+            "analyze", "--manifest", str(corpus / "manifest.csv"),
+            "--texts", str(corpus / "texts"), "--out", str(out), "--format", fmt,
+        ]) == 1
+        assert capsys.readouterr().err == "analyzed 0 of 0 documents\n"
+        meta = {"lexgrade_version": __version__, "linsear_mode": "windowed"}
+        assert out.read_text(encoding="utf-8") == table_text(fmt, meta, ANALYZE_COLUMNS, [])
 
     def test_linsear_mode_flips_only_g5(self, corpus, data_dir):
         divergent = (data_dir / "linsear_divergence.txt").read_text()
@@ -310,7 +336,10 @@ class TestStats:
 
     @pytest.mark.parametrize(
         "key, value, message",
-        [("meta", [], "'meta' must be an object"), ("rows", 5, "'rows' must be a list")],
+        [("meta", [], "'meta' must be an object"), ("rows", 5, "'rows' must be a list"),
+         # A meta value holds only what a CSV `# key: value` line can.
+         *(("meta", {"linsear_mode": value}, "meta 'linsear_mode' must be a one-line string")
+           for value in ({"a": [1]}, "x\ny", None, 5, "x\ry"))],
     )
     def test_json_structure_is_format_error(
         self, corpus, tmp_path, capsys, key, value, message
@@ -597,7 +626,14 @@ class TestOutFile:
             "analyze", "--manifest", str(nonascii / "manifest.csv"),
             "--texts", str(tmp_path / "empty"), "--out", str(out), "--format", fmt,
         ]) == 1
-        assert "no document could be analyzed" in capsys.readouterr().err
+        # One FAIL line per document and the summary, as when only some fail.
+        manifest = (nonascii / "manifest.csv").read_text(encoding="utf-8")
+        ids = [row["id"] for row in csv.DictReader(manifest.splitlines())]
+        missing = [tmp_path / "empty" / f"{doc_id}.txt" for doc_id in ids]
+        assert capsys.readouterr().err.splitlines() == [
+            f"FAIL {path.stem}: [Errno 2] No such file or directory: '{path}'"
+            for path in missing
+        ] + ["analyzed 0 of 5 documents"]
         text = out.read_text(encoding="utf-8")
         if fmt == "json":
             assert json.loads(text) == {

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import inspect
 import json
 import sys
 import unicodedata
@@ -7,9 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lexgrade import segmenter
 from lexgrade.corpus import (
     DocType,
     DocumentRecord,
@@ -21,11 +24,7 @@ from lexgrade.corpus import (
     directory_resolver,
     load_manifest,
 )
-from lexgrade.errors import (
-    CorpusAnalysisError,
-    DegenerateTextError,
-    ManifestError,
-)
+from lexgrade.errors import DegenerateTextError, ManifestError
 from lexgrade.indices import GRADE_FIELDS, grade_metrics
 from lexgrade.segmenter import scan
 from lexgrade.stats import corpus_statistics, cronbach_alpha, per_year_aggregate
@@ -127,6 +126,34 @@ class TestLoadManifest:
         ]), encoding="utf-8")
         records = load_manifest(manifest)
         assert records[0].id == "32016R0679"
+
+    def test_byte_order_mark_is_skipped(self, data_dir, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF.
+        plain_csv = data_dir / "nonascii" / "manifest.csv"
+        plain_json = tmp_path / "m.json"
+        plain_json.write_text(json.dumps(list(csv.DictReader(
+            plain_csv.read_text(encoding="utf-8").splitlines()
+        ))), encoding="utf-8")
+        bad_csv = tmp_path / "bad.csv"
+        write_manifest(bad_csv, ["a,Regulation,2016,A,GeneralRules,a.txt",
+                                 "b,Regulation,20XX,B,GeneralRules,b.txt"])
+        nul_csv = tmp_path / "nul.csv"
+        write_manifest(nul_csv, ["a,Regulation,2016,A\0,GeneralRules,a.txt"])
+        for plain in (plain_csv, plain_json, bad_csv, nul_csv):
+            marked = tmp_path / f"marked{plain.suffix}"
+            marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+            try:
+                expected = load_manifest(plain)
+            except ManifestError as exc:
+                # The same row or line number as without the mark.
+                expected = str(exc).replace(str(plain), str(marked))
+                with pytest.raises(ManifestError) as caught:
+                    load_manifest(marked)
+                assert str(caught.value) == expected
+            else:
+                assert len(expected) == 5
+                assert load_manifest(marked) == expected
+                assert expected == load_manifest(plain_csv)
 
     @pytest.mark.parametrize(
         "year, accepted",
@@ -252,37 +279,44 @@ class TestKeptLines:
     def test_grades_equal_clean_text_grades(self, raw):
         try:
             expected = grade_metrics(clean_text(raw))
-        except DegenerateTextError:
-            with pytest.raises(DegenerateTextError, match="32016R0679"):
-                analyze_document(record(), raw)
+        except DegenerateTextError as exc:
+            with pytest.raises(DegenerateTextError) as caught:
+                analyze_document(raw)
+            assert str(caught.value) == str(exc)
         else:
-            assert analyze_document(record(), raw) == expected
+            assert analyze_document(raw) == expected
 
     def test_data_texts(self, data_dir):
         for path in sorted(data_dir.rglob("*.txt")):
             raw = path.read_text(encoding="utf-8")
             assert _prose_lines(raw) == _reference_kept_lines(raw)
-            assert analyze_document(record(), raw) == grade_metrics(clean_text(raw))
+            assert analyze_document(raw) == grade_metrics(clean_text(raw))
 
 
 class TestAnalyzeDocument:
     def test_matches_direct_pipeline(self, data_dir):
         text = (data_dir / "fixture_paragraph.txt").read_text()
-        metrics, grades = analyze_document(record(), text)
+        metrics, grades = analyze_document(text)
         assert metrics == scan(clean_text(text))[0]
         assert grades == grade_metrics(clean_text(text))[1]
 
     def test_whitespace_only_carries_id(self):
-        with pytest.raises(DegenerateTextError, match="32016R0679"):
-            analyze_document(record(), "   \n\n   ")
+        # The error says what is wrong; the corpus failure says where, once.
+        reason = "text has no measurable prose: sentence count is zero"
+        with pytest.raises(DegenerateTextError) as caught:
+            analyze_document("   \n\n   ")
+        assert str(caught.value) == reason
+        report = analyze_corpus([record()], lambda rec: "   \n\n   ")
+        assert report == ([], [("32016R0679", reason)])
 
-    def test_text_only_dependence(self, data_dir):
+    def test_text_only_dependence(self, data_dir, monkeypatch):
+        # A document is graded from its text alone: no record is passed,
+        # and a warm type table grades the same text the same.
+        assert list(inspect.signature(analyze_document).parameters) == ["text", "mode"]
+        assert inspect.signature(analyze_document).parameters["mode"].default == "windowed"
         text = (data_dir / "fixture_paragraph.txt").read_text()
-        first = analyze_document(record(doc_id="a"), text)
-        second = analyze_document(
-            record(doc_id="b", doc_type=DocType.COM, year=1999), text
-        )
-        assert first == second
+        monkeypatch.setattr(segmenter, "_TYPES", {})
+        assert analyze_document(text) == analyze_document(text)
 
 
 def _three_doc_corpus(tmp_path):
@@ -351,12 +385,17 @@ class TestAnalyzeCorpus:
         assert len(report.failures) == 1
         assert report.failures[0].id == "doc2"
 
-    def test_all_failed_is_fatal(self, tmp_path):
+    def test_all_failed_is_reported(self, tmp_path):
+        # No raise: one failure per record, in manifest order, each naming
+        # the text it could not read.
         records, _ = _three_doc_corpus(tmp_path)
         empty = tmp_path / "empty"
         empty.mkdir()
-        with pytest.raises(CorpusAnalysisError):
-            analyze_corpus(records, directory_resolver(empty))
+        report = analyze_corpus(records[::-1], directory_resolver(empty))
+        assert report.rows == []
+        assert [f.id for f in report.failures] == ["doc3", "doc2", "doc1"]
+        for failure in report.failures:
+            assert str(empty / f"{failure.id}.txt") in failure.reason
 
     def test_row_order_follows_manifest(self, tmp_path):
         records, texts = _three_doc_corpus(tmp_path)
@@ -364,6 +403,8 @@ class TestAnalyzeCorpus:
         assert [r.record.id for r in report.rows] == ["doc3", "doc2", "doc1"]
 
     @given(st.lists(st.booleans(), min_size=1, max_size=12))
+    @example([False])
+    @example([False, False, False])
     @settings(max_examples=25)
     def test_no_silent_loss(self, availability):
         texts = {}
@@ -380,12 +421,12 @@ class TestAnalyzeCorpus:
             except KeyError:
                 raise LookupError(f"no text for {rec.id}")
 
-        if not any(availability):
-            with pytest.raises(CorpusAnalysisError):
-                analyze_corpus(records, resolver)
-            return
+        # Every document may fail: the report still accounts for each one.
         report = analyze_corpus(records, resolver)
         assert len(report.rows) + len(report.failures) == len(records)
         assert [r.record.id for r in report.rows] == [
             rec.id for rec, ok in zip(records, availability) if ok
+        ]
+        assert [f.id for f in report.failures] == [
+            rec.id for rec, ok in zip(records, availability) if not ok
         ]
