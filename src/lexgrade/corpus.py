@@ -285,11 +285,14 @@ def analyze_document(text: str, mode: str = "windowed") -> tuple[TextMetrics, Gr
 
 
 def directory_resolver(texts_dir: str | Path) -> Callable[[DocumentRecord], str]:
-    """Resolve document texts from a directory of <id>.txt files."""
+    """Resolve document texts from a directory of <id>.txt files, UTF-8
+    with or without a leading byte-order mark."""
     base = Path(texts_dir)
 
     def resolve(record: DocumentRecord) -> str:
-        return (base / f"{record.id}.txt").read_text(encoding="utf-8")
+        # As lexgrade.results reads: "utf-8-sig" would read a lone partial
+        # mark as empty text and count a bad byte's position after the mark.
+        return (base / f"{record.id}.txt").read_text(encoding="utf-8").removeprefix("\ufeff")
 
     return resolve
 

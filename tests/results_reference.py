@@ -42,7 +42,8 @@ def read_results(path: str) -> tuple[dict, dict[str, list]]:
     data_lines: list[str] = []
     line_numbers: list[int] = []
     try:
-        with open(Path(path), encoding="utf-8") as fh:
+        # A leading byte-order mark is skipped.
+        with open(Path(path), encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.rstrip("\n")
                 if stripped.startswith("#"):

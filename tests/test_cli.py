@@ -222,6 +222,23 @@ class TestAnalyze:
         ]) == 0
         assert out.read_bytes() == (corpus / f"results.{fmt}").read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_byte_order_marks_in_texts_are_skipped(self, data_dir, tmp_path, fmt):
+        # A mark does not hide a first furniture line such as `4.5.2016 EN`
+        # from the filter: the texts grade as they do without it. (32002L0058.txt
+        # starts with a mark already; the second is graded as before.)
+        corpus = data_dir / "nonascii"
+        texts = tmp_path / "texts"
+        texts.mkdir()
+        for plain in (corpus / "texts").glob("*.txt"):
+            (texts / plain.name).write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        out = tmp_path / f"results.{fmt}"
+        assert main([
+            "analyze", "--manifest", str(corpus / "manifest.csv"),
+            "--texts", str(texts), "--out", str(out), "--format", fmt,
+        ]) == 0
+        assert out.read_bytes() == (corpus / f"results.{fmt}").read_bytes()
+
     def test_csv_json_parity(self, corpus):
         csv_out = corpus / "results.csv"
         json_out = corpus / "results.json"
@@ -550,6 +567,17 @@ def _command(corpus, command: str, fmt: str, out: Path) -> list[str]:
     else:
         inputs = ["--results", str(_run_analyze(corpus))]
     return [command, *inputs, "--out", str(out), "--format", fmt]
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_results_with_byte_order_mark(data_dir, tmp_path, command, fmt):
+    # The mark is skipped: the outputs are the goldens.
+    marked = tmp_path / "results.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + (data_dir / "synthetic55_results.csv").read_bytes())
+    out = tmp_path / f"{command}.{fmt}"
+    assert main([command, "--results", str(marked), "--out", str(out), "--format", fmt]) == 0
+    assert out.read_bytes() == (data_dir / f"synthetic55_{command}.{fmt}").read_bytes()
 
 
 class TestOutFile:

@@ -397,6 +397,21 @@ class TestAnalyzeCorpus:
         for failure in report.failures:
             assert str(empty / f"{failure.id}.txt") in failure.reason
 
+    def test_byte_order_mark_decoding(self, tmp_path):
+        # A whole leading mark is skipped; a bad byte's position counts the
+        # file's bytes, and a lone partial mark is not UTF-8.
+        records, texts = _three_doc_corpus(tmp_path)
+        plain = (texts / "doc1.txt").read_bytes()
+        (texts / "doc1.txt").write_bytes(b"\xef\xbb\xbf" + plain)
+        (texts / "doc2.txt").write_bytes(b"\xef\xbb\xbf\xff" + plain)
+        (texts / "doc3.txt").write_bytes(b"\xef\xbb")
+        report = analyze_corpus(records, directory_resolver(texts))
+        assert report.rows[0].metrics == analyze_document(plain.decode())[0]
+        assert [(f.id, f.reason) for f in report.failures] == [
+            ("doc2", "'utf-8' codec can't decode byte 0xff in position 3: invalid start byte"),
+            ("doc3", "'utf-8' codec can't decode bytes in position 0-1: unexpected end of data"),
+        ]
+
     def test_row_order_follows_manifest(self, tmp_path):
         records, texts = _three_doc_corpus(tmp_path)
         report = analyze_corpus(records[::-1], directory_resolver(texts))

@@ -9,6 +9,7 @@ quote.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import sys
@@ -24,6 +25,9 @@ from lexgrade.results import ANALYZE_COLUMNS, read_results, table_text
 
 sys.path.insert(0, str(Path(__file__).parent))
 import results_reference as reference  # noqa: E402
+
+DATA = Path(__file__).parent / "data"
+_MARK = b"\xef\xbb\xbf"
 
 _LIMIT = csv.field_size_limit()
 
@@ -126,10 +130,14 @@ def _results_text(draw) -> str:
     # Blank and comment lines anywhere, also inside a quoted id.
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_EXTRA_LINES)))
+    # Now and then a leading byte-order mark, which both readers skip.
+    mark = draw(st.sampled_from(["", "", "", "\ufeff"]))
     ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
     if ends == "mixed":
-        return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
-    return ends.join(lines) + draw(st.sampled_from([ends, ""]))
+        return mark + "".join(
+            line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines
+        )
+    return mark + ends.join(lines) + draw(st.sampled_from([ends, ""]))
 
 
 def _outcome(read, path):
@@ -338,3 +346,94 @@ def test_manifest_ids_round_trip(tmp_path_factory, doc_id):
                 assert '"' not in text
                 assert not text.split("\n")[-2].startswith("#")
             assert read_results(str(out))[1]["id"] == [record.id]
+
+
+# The goldens analyze, stats and report are pinned to, in both formats.
+_GOLDENS = ["nonascii/results.csv", "nonascii/results.json", "synthetic55_results.csv"]
+
+
+@pytest.mark.parametrize("name", _GOLDENS)
+def test_byte_order_mark_is_skipped(tmp_path, name):
+    plain = DATA / name
+    marked = tmp_path / f"marked{plain.suffix}"
+    marked.write_bytes(_MARK + plain.read_bytes())
+    assert read_results(str(marked)) == read_results(str(plain))
+
+
+@pytest.mark.parametrize("data, message", [
+    # A bad cell is named on the same line as without the mark.
+    (_MARK + f"{_HEADER}\n{_ROW}\n{_YEAR_ROW}\n".encode(),
+     " line 3: column 'year' has value 999, expected a 4-digit year"),
+    (_MARK, ": no header row"),
+    # A lone partial mark is not UTF-8.
+    (_MARK[:2], ": not UTF-8 text (unexpected end of data)"),
+], ids=["bad-row", "mark-only", "partial-mark"])
+def test_byte_order_mark_errors(tmp_path, data, message):
+    path = tmp_path / "results.csv"
+    path.write_bytes(data)
+    assert _outcome(read_results, str(path)) == f"{path}{message}"
+
+
+@pytest.fixture(scope="module")
+def rows_20k(tmp_path_factory) -> Path:
+    """A results file of 20,000 rows: synthetic55's rows over and over."""
+    lines = (DATA / "synthetic55_results.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line for line in lines if line != _HEADER and not line.startswith("#")]
+    path = tmp_path_factory.mktemp("rows") / "results.csv"
+    path.write_text("\n".join([_HEADER, *(rows * 364)[:20000]]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def collector():
+    """Puts back the cyclic garbage collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """read_results runs with the cyclic garbage collector paused."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("good", [True, False], ids=["good", "bad"])
+    def test_state_is_restored(self, collector, tmp_path, enabled, good):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{_HEADER}\n{_ROW}\n" if good else f"{_HEADER}\n{_YEAR_ROW}\n",
+                        encoding="utf-8")
+        (gc.enable if enabled else gc.disable)()
+        if good:
+            read_results(str(path))
+        else:
+            with pytest.raises(ResultsFormatError):
+                read_results(str(path))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("name", [*_GOLDENS, "20k"])
+    def test_makes_no_reference_cycle(self, collector, rows_20k, name):
+        # What keeps the pause safe: with the collector off, a read leaves
+        # nothing for it to free.
+        path = rows_20k if name == "20k" else DATA / name
+        gc.disable()
+        gc.collect()
+        read_results(str(path))
+        assert gc.collect() == 0
+
+    def test_no_pass_during_a_read(self, collector, rows_20k):
+        # The collector would walk the reader's young lists dozens of times
+        # in 20,000 rows; paused, it makes at most the one pass that the
+        # first allocation after the read starts.
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            read_results(str(rows_20k))
+        finally:
+            gc.callbacks.remove(record)
+        assert len(starts) <= 1, starts
